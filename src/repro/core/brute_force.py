@@ -14,7 +14,7 @@ import numpy as np
 
 from ..data.particles import ParticleSet
 from ..geometry import AABB, iter_cross_distance_chunks, iter_self_distance_chunks
-from ..geometry.distance import minimum_image
+from ..geometry.distance import PANEL_ROWS, minimum_image
 from ..kernels import exact, fast_uniform_width, get_backend
 from .buckets import BucketSpec, OverflowPolicy, UniformBuckets
 from .histogram import DistanceHistogram
@@ -29,7 +29,7 @@ def brute_force_sdh(
     spec: BucketSpec | None = None,
     bucket_width: float | None = None,
     policy: OverflowPolicy = OverflowPolicy.RAISE,
-    chunk: int = 2048,
+    chunk: int = PANEL_ROWS,
     stats: SDHStats | None = None,
     periodic: bool = False,
     kernel: str = "auto",
@@ -124,7 +124,7 @@ def brute_force_cross_sdh(
     b: ParticleSet | np.ndarray,
     spec: BucketSpec,
     policy: OverflowPolicy = OverflowPolicy.RAISE,
-    chunk: int = 2048,
+    chunk: int = PANEL_ROWS,
     stats: SDHStats | None = None,
     periodic: bool = False,
     kernel: str = "auto",

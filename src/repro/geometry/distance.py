@@ -28,7 +28,14 @@ __all__ = [
     "cross_distances",
     "iter_self_distance_chunks",
     "iter_cross_distance_chunks",
+    "PANEL_ROWS",
 ]
+
+#: Rows per panel of every dense pairwise sweep (these iterators, the
+#: brute-force baseline and the numpy kernel tier).  One panel pair holds
+#: at most ``PANEL_ROWS**2`` = 262144 pair deltas -- about 6 MB of float64
+#: in 3D -- so a sweep's temporaries stay near cache size whatever N is.
+PANEL_ROWS = 512
 
 
 def grid_pair_bounds(
@@ -173,7 +180,7 @@ def cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def iter_self_distance_chunks(
     points: np.ndarray,
-    chunk: int = 2048,
+    chunk: int = PANEL_ROWS,
     box_lengths: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
     """Yield all intra-set distances without materializing the full set.
@@ -211,7 +218,7 @@ def iter_self_distance_chunks(
 def iter_cross_distance_chunks(
     a: np.ndarray,
     b: np.ndarray,
-    chunk: int = 2048,
+    chunk: int = PANEL_ROWS,
     box_lengths: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
     """Yield all cross-set distances in memory-bounded blocks.

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..geometry.distance import (
+    PANEL_ROWS,
     iter_cross_distance_chunks,
     iter_self_distance_chunks,
     minimum_image,
@@ -31,10 +32,6 @@ __all__ = [
 
 NAME = "numpy"
 
-#: Default row-panel size of the dense sweeps (matches the brute-force
-#: baseline's historical blocking).
-DEFAULT_CHUNK = 2048
-
 
 def _bin(distances: np.ndarray, width: float, nbins: int) -> np.ndarray:
     # Truncation of a non-negative quotient == floor, and the clamp
@@ -52,7 +49,7 @@ def bin_gathered_pairs(
     width: float,
     nbins: int,
     box_lengths: np.ndarray | None = None,
-    chunk: int = DEFAULT_CHUNK,
+    chunk: int = PANEL_ROWS,
 ) -> tuple[np.ndarray, int]:
     """Histogram the distances of explicitly enumerated index pairs."""
     delta = positions[idx_a] - positions[idx_b]
@@ -67,7 +64,7 @@ def bin_dense_self(
     width: float,
     nbins: int,
     box_lengths: np.ndarray | None = None,
-    chunk: int = DEFAULT_CHUNK,
+    chunk: int = PANEL_ROWS,
 ) -> tuple[np.ndarray, int]:
     """Histogram all ``n(n-1)/2`` intra-set distances."""
     hist = np.zeros(nbins, dtype=np.int64)
@@ -86,7 +83,7 @@ def bin_dense_cross(
     width: float,
     nbins: int,
     box_lengths: np.ndarray | None = None,
-    chunk: int = DEFAULT_CHUNK,
+    chunk: int = PANEL_ROWS,
 ) -> tuple[np.ndarray, int]:
     """Histogram all ``len(a) * len(b)`` cross-set distances."""
     hist = np.zeros(nbins, dtype=np.int64)
@@ -140,9 +137,13 @@ def bin_gathered_pairs_weighted(
     width: float,
     nbins: int,
     box_lengths: np.ndarray | None = None,
-    chunk: int = DEFAULT_CHUNK,
+    chunk: int = PANEL_ROWS * PANEL_ROWS,
 ) -> tuple[np.ndarray, int]:
-    """Weighted histogram of explicitly enumerated index pairs."""
+    """Weighted histogram of explicitly enumerated index pairs.
+
+    ``chunk`` counts pairs, not rows: by default one dense panel pair's
+    worth, so the scatter temporaries match the dense sweeps' bound.
+    """
     scatter = _WeightScatter(weights, nbins)
     for start in range(0, idx_a.shape[0], chunk):
         ia = idx_a[start : start + chunk]
@@ -161,7 +162,7 @@ def bin_dense_self_weighted(
     width: float,
     nbins: int,
     box_lengths: np.ndarray | None = None,
-    chunk: int = DEFAULT_CHUNK,
+    chunk: int = PANEL_ROWS,
 ) -> tuple[np.ndarray, int]:
     """Weighted histogram of all ``n(n-1)/2`` intra-set pairs."""
     positions = np.asarray(positions, dtype=float)
@@ -205,7 +206,7 @@ def bin_dense_cross_weighted(
     width: float,
     nbins: int,
     box_lengths: np.ndarray | None = None,
-    chunk: int = DEFAULT_CHUNK,
+    chunk: int = PANEL_ROWS,
 ) -> tuple[np.ndarray, int]:
     """Weighted histogram of all ``len(a) * len(b)`` cross-set pairs."""
     pos_a = np.asarray(pos_a, dtype=float)

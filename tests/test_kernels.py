@@ -8,7 +8,7 @@ equality against it.  Engine-integration parity pins ``kernel=`` through
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import (
@@ -374,9 +374,13 @@ class TestWeightedKernelProperties:
 
     @settings(max_examples=30, deadline=None)
     @given(_weighted_cloud(), st.integers(min_value=1, max_value=20))
+    @example(  # a subnormal pair product: 2.2e-12 * 1e-300
+        (np.array([[0.0, 0.0], [0.0, 0.125]]), np.array([2.2e-12, 1e-300])),
+        1,
+    )
     def test_power_of_two_scaling_is_exact(self, cloud, exponent):
         # Bilinearity on an exactly-representable scalar: scaling the
-        # weights by 2^j scales every bucket by 2^(2j), bit for bit.
+        # weights by 2^j scales every bucket's exact integer by 4^j.
         positions, weights = cloud
         factor = float(2.0**exponent)
         backend = get_backend("numpy")
@@ -386,8 +390,20 @@ class TestWeightedKernelProperties:
         scaled, _ = backend.bin_dense_self_weighted(
             positions, weights * factor, 0.25, NBINS
         )
+        base_ints = exact.limbs_to_ints(base)
+        scaled_ints = exact.limbs_to_ints(scaled)
+        np.testing.assert_array_equal(scaled_ints, base_ints * 4**exponent)
+        # Rounding to float commutes with the power-of-two scale only
+        # where the base bucket is zero or normal.  A subnormal bucket
+        # (a pair product like 2.2e-12 * 1e-300) rounds away bits that
+        # the 4^j-larger scaled bucket keeps.
+        smallest_normal = 1 << (exact.PRODUCT_BIAS - 1022)
+        normal = np.array(
+            [v == 0 or abs(v) >= smallest_normal for v in base_ints]
+        )
         np.testing.assert_array_equal(
-            _finalized(scaled), _finalized(base) * factor * factor
+            exact.finalize(scaled_ints)[normal],
+            exact.finalize(base_ints)[normal] * factor * factor,
         )
 
     @settings(max_examples=30, deadline=None)

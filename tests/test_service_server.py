@@ -1,11 +1,15 @@
 """End-to-end tests for the SDH query service over localhost HTTP."""
 
+import http.client
+import json
+import socket
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro import compute_sdh
+from repro import SDHRequest, compute_sdh
 from repro.data import random_types, save_particles, uniform
 from repro.errors import (
     BucketSpecError,
@@ -524,6 +528,82 @@ class TestObservability:
             urllib.request.urlopen(request, timeout=10.0)
         assert info.value.code == 404
         assert info.value.headers["X-Trace-Id"] == "0123456789abcdef"
+
+
+class TestWire:
+    """Responses on one keep-alive connection, as ``http.client`` sees them."""
+
+    @staticmethod
+    def _call(conn, method, path, body=None):
+        headers = {"Content-Type": "application/json"} if body else {}
+        conn.request(method, path, body=body, headers=headers)
+        response = conn.getresponse()
+        raw = response.read()
+        assert int(response.getheader("Content-Length")) == len(raw)
+        return response.status, raw
+
+    @pytest.fixture()
+    def conn(self, service):
+        conn = http.client.HTTPConnection(*service.address, timeout=30)
+        yield conn
+        conn.close()
+
+    def test_cache_hits_do_not_wait_for_delayed_acks(
+        self, client, conn, dataset
+    ):
+        # Sent as two writes under Nagle, each response waits ~40 ms for
+        # the client's delayed ACK: 30 hits would take at least 1.2 s.
+        key = client.register(dataset)
+        body = json.dumps({"dataset": key, "num_buckets": 8}).encode()
+        status, raw = self._call(conn, "POST", "/v1/sdh", body)
+        assert status == 200
+        assert json.loads(raw)["result_source"] == "miss"
+        started = time.perf_counter()
+        for _ in range(30):
+            status, raw = self._call(conn, "POST", "/v1/sdh", body)
+            assert status == 200
+            assert json.loads(raw)["result_source"] == "hit"
+        assert time.perf_counter() - started < 0.6
+
+    def test_error_responses_keep_the_connection_usable(self, conn):
+        status, raw = self._call(conn, "GET", "/v1/nope")
+        assert status == 404
+        assert json.loads(raw)["error"]["type"] == "ServiceError"
+        status, raw = self._call(conn, "POST", "/v1/sdh", b"{not json")
+        assert status == 400
+        assert json.loads(raw)["error"]["type"] == "BadRequest"
+        status, raw = self._call(conn, "GET", "/healthz")
+        assert (status, json.loads(raw)) == (200, {"status": "ok"})
+
+    def test_large_bodies_arrive_whole(self, client, conn, dataset):
+        client.register(dataset)
+        client.sdh(dataset.fingerprint(), num_buckets=8)
+        status, raw = self._call(conn, "GET", "/metrics")
+        assert status == 200
+        assert len(raw) > 8192
+        assert raw.endswith(b"\n")
+        assert b"sdh_uptime_seconds" in raw
+        big = uniform(20000, dim=3, rng=5)
+        body = json.dumps({
+            "positions": big.positions.tolist(),
+            "box": {"lo": list(big.box.lo), "hi": list(big.box.hi)},
+        }).encode()
+        status, raw = self._call(conn, "POST", "/v1/datasets", body)
+        assert status == 200
+        assert json.loads(raw)["dataset"] == big.fingerprint()
+        query = {"dataset": dataset.fingerprint(), "num_buckets": 4096}
+        status, raw = self._call(
+            conn, "POST", "/v1/sdh", json.dumps(query).encode()
+        )
+        assert status == 200
+        direct = compute_sdh(dataset, SDHRequest(num_buckets=4096))
+        assert json.loads(raw)["counts"] == direct.counts.tolist()
+
+    def test_http09_request_gets_the_bare_body(self, service):
+        with socket.create_connection(service.address, timeout=30) as sock:
+            sock.sendall(b"GET /healthz\r\n\r\n")
+            raw = b"".join(iter(lambda: sock.recv(65536), b""))
+        assert json.loads(raw) == {"status": "ok"}
 
 
 class TestPlannerIntegration:
