@@ -20,7 +20,7 @@ import logging
 import time
 
 from repro.bench import make_dataset
-from repro.core import compute_sdh
+from repro.core import SDHRequest, compute_sdh
 from repro.observability import (
     MetricsRegistry,
     configure_logging,
@@ -71,11 +71,12 @@ def test_instrument_micro_costs():
 def test_query_overhead_is_marginal():
     data = make_dataset("uniform", N, dim=2, seed=31)
     configure_logging("warning")  # deployment default: spans suppressed
-    compute_sdh(data, num_buckets=8)  # warm numpy + pyramid code paths
+    # Warm numpy + pyramid code paths.
+    compute_sdh(data, SDHRequest(num_buckets=8))
 
     def run():
         start = time.perf_counter()
-        compute_sdh(data, num_buckets=8)
+        compute_sdh(data, SDHRequest(num_buckets=8))
         return time.perf_counter() - start
 
     timings = sorted(run() for _ in range(9))

@@ -17,7 +17,7 @@ Run:  python examples/membrane_rdf.py
 
 import numpy as np
 
-from repro import SDHQuery, UniformBuckets, synthetic_bilayer
+from repro import SDHQuery, SDHRequest, UniformBuckets, synthetic_bilayer
 from repro.physics import (
     excess_internal_energy,
     lennard_jones,
@@ -50,7 +50,7 @@ def main() -> None:
     spec = UniformBuckets.with_count(system.max_possible_distance, 64)
 
     # --- overall g(r) -------------------------------------------------
-    histogram = plan.histogram(spec=spec)
+    histogram = plan.run(SDHRequest(spec=spec))
     rdf = rdf_from_histogram(histogram, system).truncated(
         0.7 * system.max_possible_distance
     )
@@ -62,13 +62,15 @@ def main() -> None:
 
     # --- type-restricted histograms (Sec. III-C.3 second variety) ----
     for label in ("water", "head"):
-        restricted = plan.histogram(spec=spec, type_filter=label)
+        restricted = plan.run(SDHRequest(spec=spec, type_filter=label))
         sub_rdf = rdf_from_histogram(restricted, system.of_type(label))
         sub_rdf = sub_rdf.truncated(0.7 * system.max_possible_distance)
         print(f"\ng(r), {label}-{label} pairs:")
         print("  " + sparkline(sub_rdf.g))
 
-    head_water = plan.histogram(spec=spec, type_pair=("head", "water"))
+    head_water = plan.run(
+        SDHRequest(spec=spec, type_pair=("head", "water"))
+    )
     print(f"\nhead-water cross pairs counted: {head_water.total:,.0f}")
 
     # --- downstream physics -------------------------------------------

@@ -20,6 +20,7 @@ Run:  python examples/nbody_approximate.py
 import time
 
 from repro import (
+    SDHRequest,
     UniformBuckets,
     adm_sdh,
     choose_levels_for_error,
@@ -46,7 +47,7 @@ def main() -> None:
         )
 
         start = time.perf_counter()
-        exact = compute_sdh(galaxies, spec=spec)
+        exact = compute_sdh(galaxies, SDHRequest(spec=spec))
         exact_seconds = time.perf_counter() - start
 
         errors = {}

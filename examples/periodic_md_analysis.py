@@ -16,6 +16,7 @@ Run:  python examples/periodic_md_analysis.py
 import numpy as np
 
 from repro import (
+    SDHRequest,
     UniformBuckets,
     brute_force_sdh,
     compute_sdh,
@@ -32,13 +33,13 @@ def main() -> None:
 
     spec = UniformBuckets.with_count(crystal.max_periodic_distance, 120)
 
-    wrapped = compute_sdh(crystal, spec=spec, periodic=True)
+    wrapped = compute_sdh(crystal, SDHRequest(spec=spec, periodic=True))
     check = brute_force_sdh(crystal, spec=spec, periodic=True)
     assert np.array_equal(wrapped.counts, check.counts)
     print(f"periodic SDH: {wrapped.total:,.0f} pairs "
           f"(matches min-image brute force exactly)")
 
-    plain = compute_sdh(crystal, num_buckets=120)
+    plain = compute_sdh(crystal, SDHRequest(num_buckets=120))
     moved = np.abs(
         wrapped.counts - plain.counts[: len(wrapped.counts)]
     ).sum() / wrapped.total

@@ -21,6 +21,7 @@ from repro import (
     BallRegion,
     RectRegion,
     SDHQuery,
+    SDHRequest,
     UnionRegion,
     brute_force_sdh,
     synthetic_bilayer,
@@ -48,7 +49,7 @@ def main() -> None:
 
     for label, region in queries.items():
         inside = region.count_inside(system.positions)
-        histogram = plan.histogram(num_buckets=12, region=region)
+        histogram = plan.run(SDHRequest(num_buckets=12, region=region))
 
         # Independent check: brute force over the filtered particles.
         subset = system.select(region.contains_points(system.positions))

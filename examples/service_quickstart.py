@@ -12,7 +12,7 @@ Run:  python examples/service_quickstart.py
 
 import time
 
-from repro import compute_sdh, uniform
+from repro import SDHRequest, compute_sdh, uniform
 from repro.service import SDHClient, SDHService
 
 
@@ -45,7 +45,7 @@ def main() -> None:
             print(f"  l={l:3d}: total pairs {hist.total:,.0f}")
 
         # Server results are bit-identical to direct library calls.
-        direct = compute_sdh(particles, num_buckets=32)
+        direct = compute_sdh(particles, SDHRequest(num_buckets=32))
         assert (batch[32].counts == direct.counts).all()
         print("l=32 histogram identical to direct compute_sdh")
 

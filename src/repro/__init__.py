@@ -9,9 +9,9 @@ A production-quality reproduction of
 The library computes the Spatial Distance Histogram (SDH) of particle
 datasets with the paper's density-map algorithms:
 
->>> from repro import compute_sdh, uniform
+>>> from repro import SDHRequest, compute_sdh, uniform
 >>> data = uniform(2000, dim=2, rng=0)
->>> hist = compute_sdh(data, num_buckets=16)
+>>> hist = compute_sdh(data, SDHRequest(num_buckets=16))
 >>> hist.total == data.num_pairs
 True
 

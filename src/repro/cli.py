@@ -304,22 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds a cached result stays servable (0 = no expiry)",
     )
     serve.add_argument(
-        "--parallel-threshold",
-        type=int,
-        default=None,
-        metavar="N",
-        help="DEPRECATED (the cost-based planner routes auto queries; "
-        "see docs/PLANNER.md): pin datasets of >= N particles to the "
-        "multi-process parallel engine",
-    )
-    serve.add_argument(
-        "--parallel-workers",
-        type=int,
-        default=0,
-        help="processes for the deprecated --parallel-threshold "
-        "override (0 = one per core)",
-    )
-    serve.add_argument(
         "--verbose", action="store_true", help="log each HTTP request"
     )
 
@@ -574,15 +558,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         timeout=None if args.timeout <= 0 else args.timeout,
         result_cache_capacity=args.result_cache_capacity,
         result_ttl=None if args.result_ttl <= 0 else args.result_ttl,
-        parallel_threshold=args.parallel_threshold,
-        parallel_workers=args.parallel_workers,
     )
-    if args.parallel_threshold is not None:
-        print(
-            "warning: --parallel-threshold is deprecated; the "
-            "cost-based planner routes auto queries (docs/PLANNER.md)",
-            file=sys.stderr,
-        )
     service = SDHService(config)
     for entry in args.dataset:
         path, _, name = entry.rpartition(":")

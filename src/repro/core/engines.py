@@ -16,21 +16,25 @@ The runner protocol is
 
 where ``request`` is a normalized :class:`~repro.core.request.SDHRequest`
 and ``spec`` its resolved :class:`~repro.core.buckets.BucketSpec`.
-The built-in engines (brute / tree / grid / parallel) are registered by
-:mod:`repro.core.query` at import time; external code can plug in more
-without touching the dispatcher.
+Both :func:`~repro.core.query.compute_sdh` and
+:meth:`~repro.core.query.SDHQuery.run` call ``engine.run``; there is no
+other dispatch.  The built-in runners also take an optional
+``index=`` keyword: a prebuilt :class:`~repro.quadtree.grid.GridPyramid`
+(grid, parallel) or :class:`~repro.quadtree.tree.DensityMapTree`
+(tree) over ``particles``, which a reusable plan passes so the query
+skips re-indexing.  Only the built-in runners are ever handed an
+index, so a runner written to the protocol above needs no such
+keyword.  The built-in engines (brute / tree / grid / parallel) are
+registered by :mod:`repro.core.query` at import time; external code
+can plug in more without touching the dispatcher.
 
 Capabilities are per-feature ``supports_*`` flags plus the engine's
 :attr:`~EngineCapabilities.kernel_tiers` — the leaf-resolution backends
-(:mod:`repro.kernels`) the engine can execute with.  The pre-kernel
-representations (coarse ``periodic``/``restricted``/... keywords and
-properties, and the original string-set form) keep working for one
-release behind :class:`DeprecationWarning` shims.
+(:mod:`repro.kernels`) the engine can execute with.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -47,32 +51,7 @@ __all__ = [
 ]
 
 
-#: Pre-kernel capability vocabulary -> the fields it expands to.  The
-#: coarse ``restricted`` flag covered region and type restrictions
-#: together; it fans out to all three fine-grained flags.
-_LEGACY_FIELDS: dict[str, tuple[str, ...]] = {
-    "periodic": ("supports_periodic",),
-    "restricted": (
-        "supports_region",
-        "supports_type_filter",
-        "supports_type_pair",
-    ),
-    "approximate": ("supports_approximate",),
-    "mbr": ("supports_mbr",),
-    "workers": ("supports_workers",),
-}
-
-
-def _warn_legacy(what: str) -> None:
-    warnings.warn(
-        f"{what} is deprecated; use the supports_*/kernel_tiers "
-        "EngineCapabilities fields (one-release compatibility shim)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class EngineCapabilities:
     """What query varieties an engine supports.
 
@@ -83,11 +62,6 @@ class EngineCapabilities:
     leaf-resolution backends the engine can run with (see
     :mod:`repro.kernels`); a request pinning ``kernel=`` to a tier the
     engine does not advertise is rejected the same way.
-
-    The pre-kernel constructor keywords (``periodic``, ``restricted``,
-    ``approximate``, ``mbr``, ``workers``) and the matching read
-    properties still work behind a :class:`DeprecationWarning` for one
-    release.
     """
 
     supports_periodic: bool = False
@@ -101,81 +75,10 @@ class EngineCapabilities:
     supports_cross: bool = False
     kernel_tiers: tuple[str, ...] = ("numpy",)
 
-    def __init__(
-        self,
-        supports_periodic: bool = False,
-        supports_region: bool = False,
-        supports_type_filter: bool = False,
-        supports_type_pair: bool = False,
-        supports_approximate: bool = False,
-        supports_mbr: bool = False,
-        supports_workers: bool = False,
-        supports_weights: bool = False,
-        supports_cross: bool = False,
-        kernel_tiers: Iterable[str] = ("numpy",),
-        **legacy: bool,
-    ):
-        values = {
-            "supports_periodic": bool(supports_periodic),
-            "supports_region": bool(supports_region),
-            "supports_type_filter": bool(supports_type_filter),
-            "supports_type_pair": bool(supports_type_pair),
-            "supports_approximate": bool(supports_approximate),
-            "supports_mbr": bool(supports_mbr),
-            "supports_workers": bool(supports_workers),
-            "supports_weights": bool(supports_weights),
-            "supports_cross": bool(supports_cross),
-        }
-        if legacy:
-            unknown = sorted(set(legacy) - set(_LEGACY_FIELDS))
-            if unknown:
-                raise QueryError(
-                    f"unknown EngineCapabilities field(s) {unknown}; "
-                    f"known: {sorted(values) + ['kernel_tiers']} "
-                    f"(deprecated: {sorted(_LEGACY_FIELDS)})"
-                )
-            _warn_legacy(
-                "constructing EngineCapabilities with the "
-                f"{sorted(legacy)} keyword(s)"
-            )
-            for key, flag in legacy.items():
-                for name in _LEGACY_FIELDS[key]:
-                    values[name] = bool(flag)
-        for name, flag in values.items():
-            object.__setattr__(self, name, flag)
+    def __post_init__(self) -> None:
         object.__setattr__(
-            self, "kernel_tiers", _normalize_tiers(kernel_tiers)
+            self, "kernel_tiers", _normalize_tiers(self.kernel_tiers)
         )
-
-    # -- deprecated pre-kernel read API --------------------------------
-    @property
-    def periodic(self) -> bool:
-        _warn_legacy("EngineCapabilities.periodic")
-        return self.supports_periodic
-
-    @property
-    def restricted(self) -> bool:
-        _warn_legacy("EngineCapabilities.restricted")
-        return (
-            self.supports_region
-            and self.supports_type_filter
-            and self.supports_type_pair
-        )
-
-    @property
-    def approximate(self) -> bool:
-        _warn_legacy("EngineCapabilities.approximate")
-        return self.supports_approximate
-
-    @property
-    def mbr(self) -> bool:
-        _warn_legacy("EngineCapabilities.mbr")
-        return self.supports_mbr
-
-    @property
-    def workers(self) -> bool:
-        _warn_legacy("EngineCapabilities.workers")
-        return self.supports_workers
 
 
 def _normalize_tiers(tiers: Iterable[str]) -> tuple[str, ...]:
@@ -202,36 +105,6 @@ def _normalize_tiers(tiers: Iterable[str]) -> tuple[str, ...]:
             "fallback tier"
         )
     return tuple(seen)
-
-
-def _coerce_capabilities(capabilities) -> EngineCapabilities:
-    """Accept the deprecated string-set capability form.
-
-    ``register_engine(..., capabilities={"periodic", "restricted"})``
-    predates the dataclass; keep it working for one release.
-    """
-    if isinstance(capabilities, EngineCapabilities):
-        return capabilities
-    if isinstance(capabilities, (set, frozenset, list, tuple)):
-        names = [str(item) for item in capabilities]
-        unknown = sorted(set(names) - set(_LEGACY_FIELDS))
-        if unknown:
-            raise QueryError(
-                f"unknown capability string(s) {unknown}; "
-                f"known: {sorted(_LEGACY_FIELDS)}"
-            )
-        _warn_legacy(
-            "registering an engine with a capability string set"
-        )
-        values: dict[str, bool] = {}
-        for name in names:
-            for fieldname in _LEGACY_FIELDS[name]:
-                values[fieldname] = True
-        return EngineCapabilities(**values)
-    raise QueryError(
-        "capabilities must be an EngineCapabilities instance "
-        "(or the deprecated capability string set)"
-    )
 
 
 @dataclass(frozen=True)
@@ -308,10 +181,9 @@ def register_engine(
 ) -> Engine:
     """Register an engine under ``name`` and return the registry entry.
 
-    ``capabilities`` must be an :class:`EngineCapabilities` (the
-    deprecated string-set form is still coerced, with a warning); its
-    kernel-tier declaration is validated at registration time so a bad
-    tier fails here rather than at query time.  ``replace=False`` (the
+    ``capabilities`` must be an :class:`EngineCapabilities`; its
+    kernel-tier declaration is validated when the record is built, so a
+    bad tier fails at registration rather than at query time.  ``replace=False`` (the
     default) refuses to shadow an existing registration, so accidental
     double-registration fails loudly.
     """
@@ -327,11 +199,11 @@ def register_engine(
         )
     if capabilities is None:
         capabilities = EngineCapabilities()
-    else:
-        capabilities = _coerce_capabilities(capabilities)
-    # Re-validate even for ready-made instances: dataclasses.replace()
-    # bypasses __init__-time normalization on some construction paths.
-    _normalize_tiers(capabilities.kernel_tiers)
+    elif not isinstance(capabilities, EngineCapabilities):
+        raise QueryError(
+            "capabilities must be an EngineCapabilities instance, got "
+            f"{type(capabilities).__name__}"
+        )
     entry = Engine(name=key, run=run, capabilities=capabilities)
     _REGISTRY[key] = entry
     return entry

@@ -7,9 +7,12 @@ the capability-based engine registry (:mod:`repro.core.engines`):
 * ``compute_sdh(particles, request)`` — one-shot;
 * ``SDHQuery.run(request)`` — against a prebuilt, reusable plan (the
   scenario the paper's storage discussion assumes, where the quadtree
-  is a persistent index answering many queries);
-* the classic keyword style (``compute_sdh(particles, num_buckets=8)``)
-  still works as a thin shim that builds the request internally.
+  is a persistent index answering many queries).
+
+Both share one execution path: :func:`route_request` settles the
+engine, then the registered runner executes the query.  A plan only
+adds its prebuilt index (the pyramid, or the node tree) to the call;
+a one-shot query lets the engine index the data itself.
 
 Registered engines:
 
@@ -24,24 +27,20 @@ Registered engines:
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from ..data.particles import ParticleSet
 from ..errors import QueryError
-from ..geometry import Region
 from ..observability import trace_span
 from ..quadtree.grid import GridPyramid
 from ..quadtree.tree import DensityMapTree
 from .approximate import adm_sdh
 from .brute_force import brute_force_sdh
-from .buckets import BucketSpec, OverflowPolicy
+from .buckets import BucketSpec
 from ..kernels import available_kernel_tiers
 from .dm_sdh import dm_sdh_tree
 from .dm_sdh_grid import dm_sdh_grid
 from .engines import EngineCapabilities, get_engine, register_engine
-from .heuristics import Allocator
 from .histogram import DistanceHistogram
 from .instrumentation import SDHStats, publish_stats
 from .request import SDHRequest
@@ -51,24 +50,23 @@ __all__ = [
     "build_plan",
     "SDHQuery",
     "resolve_engine_name",
+    "route_request",
 ]
 
 
 def compute_sdh(
     particles: ParticleSet,
-    request: SDHRequest | BucketSpec | float | None = None,
+    request: SDHRequest,
     *,
     b: ParticleSet | None = None,
     stats: SDHStats | None = None,
     rng: np.random.Generator | int | None = None,
-    **kwargs,
 ) -> DistanceHistogram:
     """Compute a spatial distance histogram.
 
-    The primary form is ``compute_sdh(particles, SDHRequest(...))``;
-    see :class:`~repro.core.request.SDHRequest` for every query knob.
-    ``stats`` and ``rng`` are runtime arguments (counters and sampling
-    randomness), not part of the query itself.
+    ``request`` is an :class:`~repro.core.request.SDHRequest`; see it
+    for every query knob.  ``stats`` and ``rng`` are runtime arguments
+    (counters and sampling randomness), not part of the query itself.
 
     ``b`` makes the query a *cross-set* SDH: the histogram counts every
     pair with one particle from ``particles`` and one from ``b``
@@ -77,24 +75,40 @@ def compute_sdh(
     attaches per-particle weights to ``particles`` for this call
     (equivalent to ``particles.with_weights(...)``); ``b`` carries its
     own weights, if any, on the set itself.
-
-    Two shims keep older call styles working, both deprecated in favour
-    of an explicit :class:`SDHRequest` (one-release compatibility):
-
-    * plain keywords (``compute_sdh(data, num_buckets=8,
-      engine="grid")``) build the request internally — same semantics,
-      with a :class:`DeprecationWarning`;
-    * a bare number or :class:`BucketSpec` as the second positional
-      argument is read as ``bucket_width`` / ``spec``.
-
-    Passing *both* a request and keyword overrides is ambiguous and
-    also deprecated: the keywords win, a :class:`DeprecationWarning` is
-    emitted, and callers should use ``request.replace(...)`` instead.
     """
-    request = _coerce_request(request, kwargs)
+    request = _checked_request(request, "compute_sdh")
     particles, request = _apply_request_weights(particles, request)
     b = _check_cross_operand(particles, request, b)
-    request = _maybe_plan(particles, request, b=b)
+    # One-shot: any index is built inside the engine for this call
+    # alone, so the planner prices its construction (cache_hot=False).
+    request, _ = route_request(particles, request, b=b)
+    return _execute(particles, request, "query", stats=stats, rng=rng, b=b)
+
+
+def _checked_request(request, caller: str) -> SDHRequest:
+    if not isinstance(request, SDHRequest):
+        raise QueryError(
+            f"{caller} takes an SDHRequest, got {type(request).__name__}; "
+            "build the query with SDHRequest(...)"
+        )
+    return request.normalize()
+
+
+def _execute(
+    particles: ParticleSet,
+    request: SDHRequest,
+    span: str,
+    *,
+    stats: SDHStats | None,
+    rng,
+    b: ParticleSet | None = None,
+    plan: SDHQuery | None = None,
+) -> DistanceHistogram:
+    """Run a routed request on its registered engine: the one dispatch.
+
+    A ``plan`` lends its prebuilt index to the built-in runners that
+    take one; no other runner is handed an ``index`` keyword.
+    """
     spec = request.resolved_spec(particles)
     name = resolve_engine_name(request)
     engine = get_engine(name)
@@ -103,7 +117,15 @@ def compute_sdh(
     if stats is None:
         stats = SDHStats()
     extra = {} if b is None else {"b": b}
-    with trace_span("query", engine=name, particles=particles.size):
+    with trace_span(
+        span,
+        engine=name,
+        particles=particles.size,
+        approximate=request.approximate,
+    ):
+        index = None if plan is None else plan._index_for(engine)
+        if index is not None:
+            extra["index"] = index
         result = engine.run(
             particles, request, spec, stats=stats, rng=rng, **extra
         )
@@ -192,63 +214,35 @@ def resolve_engine_name(request: SDHRequest) -> str:
     return "grid"
 
 
-def _maybe_plan(
-    particles, request: SDHRequest, cache_hot: bool = False, b=None
-) -> SDHRequest:
-    """Route an ``auto`` request through the cost-based planner.
+def route_request(
+    particles: ParticleSet,
+    request: SDHRequest,
+    *,
+    cache_hot: bool = False,
+    b: ParticleSet | None = None,
+):
+    """Settle which engine runs a request; returns ``(request, plan)``.
 
-    Engages when the planner is on and there is a decision to make —
-    the engine is unresolved, or a latency SLO must be admitted.  The
-    planned request comes back with a concrete engine and
-    ``planner="off"``, so it flows through the static path below
-    without re-planning.
+    The cost-based planner engages when it is on and there is a
+    decision to make — the engine is unresolved, or a latency SLO must
+    be admitted.  The planned request comes back with a concrete engine
+    and ``planner="off"``, so routing it again is a no-op; ``plan`` is
+    the :class:`~repro.planner.ExecutionPlan` (``None`` when nothing was
+    planned).  ``cache_hot`` prices the index build as sunk, which is
+    right only when a prebuilt plan will answer the query.  Raises
+    :class:`~repro.errors.SLOInfeasibleError` when no strategy fits
+    the budget.
     """
-    if request.planner != "auto":
-        return request
-    if request.engine != "auto" and request.latency_budget_ms is None:
-        return request
+    if request.planner != "auto" or (
+        request.engine != "auto" and request.latency_budget_ms is None
+    ):
+        return request, None
     # Imported lazily: the planner package sits above core in the
     # layering (it also feeds the service and CLI).
     from ..planner import plan_request
 
-    return plan_request(
-        request, particles, cache_hot=cache_hot, b=b
-    ).request
-
-
-def _coerce_request(request, kwargs: dict) -> SDHRequest:
-    """Normalize the shim surface into one validated SDHRequest."""
-    if request is not None and not isinstance(request, SDHRequest):
-        if isinstance(request, BucketSpec):
-            kwargs.setdefault("spec", request)
-        elif isinstance(request, (int, float)) and not isinstance(
-            request, bool
-        ):
-            kwargs.setdefault("bucket_width", float(request))
-        else:
-            raise QueryError(
-                "the second argument must be an SDHRequest, a BucketSpec "
-                f"or a bucket width, got {type(request).__name__}"
-            )
-        request = None
-    if request is None:
-        if kwargs:
-            warnings.warn(
-                "keyword-style compute_sdh is deprecated; pass an "
-                "SDHRequest (one-release compatibility shim)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        request = SDHRequest(**kwargs)
-    elif kwargs:
-        warnings.warn(
-            "passing keyword overrides alongside an SDHRequest is "
-            "deprecated; build the query with request.replace(...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        request = request.replace(**kwargs)
-    return request.normalize()
+    plan = plan_request(request, particles, cache_hot=cache_hot, b=b)
+    return plan.request, plan
 
 
 # ----------------------------------------------------------------------
@@ -282,66 +276,53 @@ def _combined_cross_set(a: ParticleSet, b: ParticleSet) -> ParticleSet:
 
 
 def _run_brute(particles, request, spec, *, stats, rng, b=None):
-    if b is not None:
+    def run_full(subset: ParticleSet) -> DistanceHistogram:
+        return brute_force_sdh(
+            subset, spec=spec, policy=request.policy, stats=stats,
+            periodic=request.periodic, kernel=request.kernel,
+        )
+
+    def run_cross(sa: ParticleSet, sb: ParticleSet) -> DistanceHistogram:
         from .brute_force import brute_force_cross_sdh
 
         return brute_force_cross_sdh(
-            particles, b, spec, policy=request.policy,
-            stats=stats or SDHStats(), periodic=request.periodic,
-            kernel=request.kernel,
+            sa, sb, spec, policy=request.policy, stats=stats,
+            periodic=request.periodic, kernel=request.kernel,
         )
-    filtered = _filter_brute(
-        particles, request.region, request.type_filter, request.type_pair
-    )
-    if filtered is not None:
-        particles_a, particles_b = filtered
-        if particles_b is not None:
-            from .brute_force import brute_force_cross_sdh
 
-            return brute_force_cross_sdh(
-                particles_a, particles_b, spec, policy=request.policy,
-                stats=stats or SDHStats(), periodic=request.periodic,
-                kernel=request.kernel,
-            )
-        particles = particles_a
-    return brute_force_sdh(
-        particles, spec=spec, policy=request.policy,
-        stats=stats or SDHStats(), periodic=request.periodic,
-        kernel=request.kernel,
-    )
+    if b is not None:
+        return run_cross(particles, b)
+    if request.restricted:
+        return _restricted_subsets(
+            particles, spec, request, run_full, run_cross
+        )
+    return run_full(particles)
 
 
-def _run_tree(particles, request, spec, *, stats, rng, b=None):
+def _run_tree(particles, request, spec, *, stats, rng, b=None, index=None):
+    type_pair = request.type_pair
     if b is not None:
         # Cross-set on the reference engine: index the union with side
         # labels as types and reuse the type-pair machinery — a (0, 1)
         # pair is exactly "one particle from each side".
-        combined = _combined_cross_set(particles, b)
-        tree = DensityMapTree(combined, with_mbr=request.use_mbr)
-        return dm_sdh_tree(
-            tree,
-            spec=spec,
-            use_mbr=request.use_mbr,
-            type_pair=(0, 1),
-            policy=request.policy,
-            stats=stats,
-            kernel=request.kernel,
-        )
-    tree = DensityMapTree(particles, with_mbr=request.use_mbr)
+        particles, type_pair = _combined_cross_set(particles, b), (0, 1)
+    tree = index
+    if tree is None:
+        tree = DensityMapTree(particles, with_mbr=request.use_mbr)
     return dm_sdh_tree(
         tree,
         spec=spec,
         use_mbr=request.use_mbr,
         region=request.region,
         type_filter=request.type_filter,
-        type_pair=request.type_pair,
+        type_pair=type_pair,
         policy=request.policy,
         stats=stats,
         kernel=request.kernel,
     )
 
 
-def _run_grid(particles, request, spec, *, stats, rng, b=None):
+def _run_grid(particles, request, spec, *, stats, rng, b=None, index=None):
     if b is not None:
         combined = _combined_cross_set(particles, b)
         return dm_sdh_grid(
@@ -356,7 +337,7 @@ def _run_grid(particles, request, spec, *, stats, rng, b=None):
                 "(fractional allocation is not exact)"
             )
         return adm_sdh(
-            particles,
+            particles if index is None else index,
             spec=spec,
             levels=request.levels,
             error_bound=request.error_bound,
@@ -368,7 +349,7 @@ def _run_grid(particles, request, spec, *, stats, rng, b=None):
             periodic=request.periodic,
         )
 
-    def run_full(subset: ParticleSet) -> DistanceHistogram:
+    def run_full(subset: ParticleSet | GridPyramid) -> DistanceHistogram:
         return dm_sdh_grid(
             subset, spec=spec, use_mbr=request.use_mbr,
             policy=request.policy, stats=stats, periodic=request.periodic,
@@ -384,13 +365,21 @@ def _run_grid(particles, request, spec, *, stats, rng, b=None):
         )
 
     if request.restricted:
+        # Subsets index their own (small) pyramids; a prebuilt index
+        # answers only the unrestricted queries.  The union identity is
+        # cheaper here than a combined cross-set pyramid, except that on
+        # weighted datasets its three independently rounded terms would
+        # be off by an ulp from engines counting cross pairs directly.
         return _restricted_subsets(
-            particles, spec, request, run_full, run_cross
+            particles, spec, request, run_full,
+            run_cross if particles.weighted else None,
         )
-    return run_full(particles)
+    return run_full(particles if index is None else index)
 
 
-def _run_parallel(particles, request, spec, *, stats, rng, b=None):
+def _run_parallel(
+    particles, request, spec, *, stats, rng, b=None, index=None
+):
     if b is not None:  # pragma: no cover - capability check rejects first
         raise QueryError("engine 'parallel' does not support cross-set queries")
     # Imported lazily: repro.parallel imports this module's siblings,
@@ -406,7 +395,7 @@ def _run_parallel(particles, request, spec, *, stats, rng, b=None):
 
     if request.restricted:
         return _restricted_subsets(particles, spec, request, run_full)
-    return run_full(particles)
+    return run_full(particles if index is None else index)
 
 
 def _restricted_subsets(
@@ -421,12 +410,10 @@ def _restricted_subsets(
     The paper's in-index approach (engine="tree") prunes inside the
     prebuilt quadtree; materializing the qualifying subset and running
     the plain algorithm is equivalent and, in this implementation,
-    usually faster.  Cross-type histograms use the exact identity
-    ``h(A x B) = h(A u B) - h(A) - h(B)`` for disjoint A, B — except on
-    weighted datasets, where the three terms are independently rounded
-    doubles and the subtraction would be off by an ulp from the engines
-    that count the cross pairs directly; those run the true cross-set
-    path (``run_cross``) instead.
+    usually faster.  Cross-type histograms count the pairs directly
+    with ``run_cross`` when the engine passes one, and otherwise use the
+    exact identity ``h(A x B) = h(A u B) - h(A) - h(B)`` for disjoint
+    A, B, which weighted datasets cannot use (see ``_run_grid``).
     """
     current = particles
     if request.region is not None:
@@ -447,13 +434,13 @@ def _restricted_subsets(
         _require_distinct_pair(particles, pair)
         subset_a = current.of_type(pair[0])
         subset_b = current.of_type(pair[1])
-        if current.weighted:
-            if run_cross is None:  # pragma: no cover - engines that
-                # subset never advertise weights without a cross path
-                raise QueryError(
-                    "this engine cannot run weighted type-pair queries"
-                )
+        if run_cross is not None:
             return run_cross(subset_a, subset_b)
+        if current.weighted:  # pragma: no cover - engines that subset
+            # never advertise weights without a cross path
+            raise QueryError(
+                "this engine cannot run weighted type-pair queries"
+            )
         both = current.select(
             (current.types == current.resolve_type(pair[0]))
             | (current.types == current.resolve_type(pair[1]))
@@ -499,8 +486,8 @@ class SDHQuery:
     persistent index over a static dataset (Sec. III-C.1 even drops the
     parent pointers because the data never changes), and SDH queries
     with different bucket widths arrive over time.  This class captures
-    that usage: construction pays the indexing cost, each
-    :meth:`run` / :meth:`histogram` call only pays query time.
+    that usage: construction pays the indexing cost, each :meth:`run`
+    call only pays query time.
     """
 
     def __init__(
@@ -571,17 +558,12 @@ class SDHQuery:
     ) -> DistanceHistogram:
         """Answer one :class:`SDHRequest` against the prebuilt density maps.
 
-        The plan analogue of :func:`compute_sdh`: the same request
-        vocabulary, but plain/approximate/parallel queries reuse the
-        cached pyramid and ``engine="tree"`` the lazily built node tree
+        The plan analogue of :func:`compute_sdh`, on the same dispatch:
+        the built-in grid, parallel and approximate runners reuse the
+        cached pyramid, ``engine="tree"`` the lazily built node tree,
         instead of re-indexing per call.
         """
-        if not isinstance(request, SDHRequest):
-            raise QueryError(
-                "SDHQuery.run takes an SDHRequest; use histogram(...) "
-                "for keyword-style queries"
-            )
-        request = request.normalize()
+        request = _checked_request(request, "SDHQuery.run")
         if request.dataset_b is not None:
             raise QueryError(
                 "a prebuilt plan indexes one dataset; run cross-set "
@@ -596,175 +578,23 @@ class SDHQuery:
             return compute_sdh(particles, request, stats=stats, rng=rng)
         # The pyramid is already built, so planning treats index
         # construction as sunk cost (cache_hot).
-        request = _maybe_plan(self._particles, request, cache_hot=True)
-        spec = request.resolved_spec(self._particles)
-        name = resolve_engine_name(request)
-        engine = get_engine(name)
-        engine.check(request, weighted=self._particles.weighted)
-        if stats is None:
-            stats = SDHStats()
-        with trace_span(
+        request, _ = route_request(self._particles, request, cache_hot=True)
+        return _execute(
+            self._particles,
+            request,
             "plan_query",
-            engine=name,
-            particles=self._particles.size,
-            approximate=request.approximate,
-        ):
-            result = self._dispatch(name, engine, request, spec, stats, rng)
-        publish_stats(stats, name)
-        return result
-
-    def _dispatch(self, name, engine, request, spec, stats, rng):
-        if name == "brute":
-            return engine.run(
-                self._particles, request, spec, stats=stats, rng=rng
-            )
-        if name == "tree":
-            return dm_sdh_tree(
-                self.tree,
-                spec=spec,
-                use_mbr=request.use_mbr,
-                region=request.region,
-                type_filter=request.type_filter,
-                type_pair=request.type_pair,
-                policy=request.policy,
-                stats=stats,
-                kernel=request.kernel,
-            )
-        if request.approximate:
-            if self._particles.weighted:
-                raise QueryError(
-                    "weighted queries cannot run in approximate mode "
-                    "(fractional allocation is not exact)"
-                )
-            return adm_sdh(
-                self._pyramid,
-                spec=spec,
-                levels=request.levels,
-                error_bound=request.error_bound,
-                heuristic=request.heuristic,
-                use_mbr=request.use_mbr,
-                policy=request.policy,
-                stats=stats,
-                rng=rng,
-                periodic=request.periodic,
-            )
-        if request.restricted:
-            # Subsets index their own (small) pyramids; the prebuilt
-            # one answers the unrestricted queries.
-            def run_full(subset: ParticleSet) -> DistanceHistogram:
-                if name == "parallel":
-                    from ..parallel.engine import parallel_sdh
-
-                    return parallel_sdh(
-                        subset, spec=spec, workers=request.workers,
-                        policy=request.policy, stats=stats,
-                        periodic=request.periodic, kernel=request.kernel,
-                    )
-                return dm_sdh_grid(
-                    subset, spec=spec, use_mbr=False,
-                    policy=request.policy, stats=stats,
-                    periodic=request.periodic, kernel=request.kernel,
-                )
-
-            def run_cross(sa, sb) -> DistanceHistogram:
-                return dm_sdh_grid(
-                    _combined_cross_set(sa, sb), spec=spec, use_mbr=False,
-                    policy=request.policy, stats=stats,
-                    periodic=request.periodic, kernel=request.kernel,
-                    cross_split=sa.size,
-                )
-
-            return _restricted_subsets(
-                self._particles, spec, request, run_full,
-                None if name == "parallel" else run_cross,
-            )
-        if name == "parallel":
-            from ..parallel.engine import parallel_sdh
-
-            return parallel_sdh(
-                self._pyramid, spec=spec, workers=request.workers,
-                policy=request.policy, stats=stats,
-                periodic=request.periodic, kernel=request.kernel,
-            )
-        return dm_sdh_grid(
-            self._pyramid,
-            spec=spec,
-            use_mbr=request.use_mbr,
-            policy=request.policy,
             stats=stats,
-            periodic=request.periodic,
-            kernel=request.kernel,
+            rng=rng,
+            plan=self,
         )
 
-    def histogram(
-        self,
-        bucket_width: float | None = None,
-        spec: BucketSpec | None = None,
-        num_buckets: int | None = None,
-        region: Region | None = None,
-        type_filter: int | str | None = None,
-        type_pair: tuple[int | str, int | str] | None = None,
-        error_bound: float | None = None,
-        levels: int | None = None,
-        heuristic: int | str | Allocator = 3,
-        policy: OverflowPolicy = OverflowPolicy.RAISE,
-        stats: SDHStats | None = None,
-        rng: np.random.Generator | int | None = None,
-        in_index: bool = False,
-        workers: int | None = None,
-        periodic: bool = False,
-        kernel: str = "auto",
-    ) -> DistanceHistogram:
-        """Keyword shim over :meth:`run`.
-
-        Parameters are as in :func:`compute_sdh` minus the engine knob:
-        approximate queries run ADM-SDH on the pyramid, ``workers > 1``
-        the parallel engine, everything else the vectorized exact
-        engine.  Restricted queries default to subset-then-grid; pass
-        ``in_index=True`` for the paper's Sec. III-C.3 in-index pruning
-        on the node tree instead.
-        """
-        request = SDHRequest(
-            bucket_width=bucket_width,
-            spec=spec,
-            num_buckets=num_buckets,
-            engine="tree" if in_index else "auto",
-            use_mbr=self._use_mbr,
-            region=region,
-            type_filter=type_filter,
-            type_pair=type_pair,
-            error_bound=error_bound,
-            levels=levels,
-            heuristic=heuristic,
-            policy=policy,
-            periodic=periodic,
-            workers=workers,
-            kernel=kernel,
-        )
-        return self.run(request, stats=stats, rng=rng)
-
-
-def _filter_brute(
-    particles: ParticleSet,
-    region: Region | None,
-    type_filter: int | str | None,
-    type_pair: tuple[int | str, int | str] | None,
-) -> tuple[ParticleSet, ParticleSet | None] | None:
-    """Materialize restrictions for the brute-force baseline."""
-    if region is None and type_filter is None and type_pair is None:
+    def _index_for(self, engine):
+        """The prebuilt index a built-in runner accepts, else ``None``."""
+        if engine.run is _run_tree:
+            return self.tree
+        if engine.run in (_run_grid, _run_parallel):
+            return self._pyramid
         return None
-    current = particles
-    if region is not None:
-        mask = region.contains_points(current.positions)
-        if not mask.any():
-            raise QueryError("query region contains no particles")
-        current = current.select(mask)
-    if type_filter is not None:
-        return current.of_type(type_filter), None
-    if type_pair is not None:
-        _require_distinct_pair(particles, type_pair)
-        return current.of_type(type_pair[0]), current.of_type(type_pair[1])
-    return current, None
 
 
 def _require_distinct_pair(particles: ParticleSet, pair) -> None:

@@ -16,6 +16,7 @@ import numpy as np
 from ..core.buckets import BucketSpec
 from ..core.histogram import DistanceHistogram
 from ..core.query import compute_sdh
+from ..core.request import SDHRequest
 from ..data.particles import ParticleSet
 from ..errors import DatasetError, QueryError
 from .rdf import RadialDistributionFunction, _box_distance_cdf_diffs
@@ -39,8 +40,8 @@ def partial_rdfs(
     the exact box distance distribution, so uncorrelated components sit
     at ``g = 1`` across the whole range.
 
-    Parameters mirror :func:`repro.core.query.compute_sdh`;
-    ``finite_size`` defaults to ``"periodic"`` / ``"corrected"``
+    ``spec`` / ``num_buckets`` / ``periodic`` mean what they mean on
+    :class:`~repro.core.request.SDHRequest`; ``finite_size`` defaults to ``"periodic"`` / ``"corrected"``
     matching the metric.
     """
     if particles.types is None:
@@ -60,10 +61,12 @@ def partial_rdfs(
     # the (relatively expensive) quadrature once.
     probe = compute_sdh(
         particles,
-        spec=spec,
-        num_buckets=num_buckets,
-        type_filter=names[0],
-        periodic=periodic,
+        SDHRequest(
+            spec=spec,
+            num_buckets=num_buckets,
+            type_filter=names[0],
+            periodic=periodic,
+        ),
     )
     resolved_spec = probe.spec
     fractions = _box_distance_cdf_diffs(
@@ -82,9 +85,11 @@ def partial_rdfs(
                 else:
                     histogram = compute_sdh(
                         particles,
-                        spec=resolved_spec,
-                        type_filter=name_a,
-                        periodic=periodic,
+                        SDHRequest(
+                            spec=resolved_spec,
+                            type_filter=name_a,
+                            periodic=periodic,
+                        ),
                     )
                 n_a = particles.type_count(name_a)
                 num_pairs = n_a * (n_a - 1) / 2.0
@@ -92,9 +97,11 @@ def partial_rdfs(
             else:
                 histogram = compute_sdh(
                     particles,
-                    spec=resolved_spec,
-                    type_pair=(name_a, name_b),
-                    periodic=periodic,
+                    SDHRequest(
+                        spec=resolved_spec,
+                        type_pair=(name_a, name_b),
+                        periodic=periodic,
+                    ),
                 )
                 n_a = particles.type_count(name_a)
                 n_b = particles.type_count(name_b)

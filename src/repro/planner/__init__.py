@@ -4,8 +4,8 @@ The paper's analytical machinery — the Table III covering factors, the
 cost equations (3)–(5), and the ``m = log2(1/epsilon)`` start-level
 rule — is implemented in :mod:`repro.core.analysis`, but historically
 nothing used it to *drive execution*: engine choice was a static
-``--parallel-threshold`` if-check in the service and CLI.  This package
-closes that loop.  For each :class:`~repro.core.request.SDHRequest` it
+size-threshold if-check in the service and CLI.  This package closes
+that loop.  For each :class:`~repro.core.request.SDHRequest` it
 
 * predicts the cost of every viable execution strategy — engine,
   worker count, exact-vs-ADM mode, ADM start level ``m`` — from the

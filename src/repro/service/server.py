@@ -18,9 +18,7 @@ Endpoints:
   cost-based planner (:mod:`repro.planner`); the chosen strategy and
   the ranked candidates are echoed back in a ``plan`` response block,
   and an infeasible ``latency_budget_ms`` is rejected with HTTP 422
-  (:class:`~repro.errors.SLOInfeasibleError`).  The legacy
-  :attr:`ServiceConfig.parallel_threshold` knob still works as a
-  deprecated planner override.
+  (:class:`~repro.errors.SLOInfeasibleError`).
 * ``POST /v1/sdh/batch`` — answer a list of bucket specs against one
   dataset, amortizing a single pyramid across all of them.  Per-item
   failures come back as ``{"error": ...}`` entries instead of failing
@@ -50,10 +48,8 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
@@ -61,7 +57,7 @@ from typing import Any
 import numpy as np
 
 from ..core.instrumentation import SDHStats
-from ..core.query import compute_sdh, resolve_engine_name
+from ..core.query import compute_sdh, resolve_engine_name, route_request
 from ..core.request import SDHRequest
 from ..data.io import load_particles, load_xyz
 from ..data.particles import ParticleSet
@@ -127,25 +123,6 @@ class ServiceConfig:
     result_cache_capacity: int = 256
     #: Seconds a cached result stays servable; None = no expiry.
     result_ttl: float | None = None
-    #: Deprecated (the cost-based planner now routes ``engine="auto"``
-    #: queries — see ``docs/PLANNER.md``).  When set, acts as a planner
-    #: override: datasets of at least this many particles are pinned to
-    #: the multi-process parallel engine, exactly as before.
-    parallel_threshold: int | None = None
-    #: Worker-process count for the deprecated threshold override;
-    #: 0 means "one per CPU core".
-    parallel_workers: int = 0
-
-    def __post_init__(self) -> None:
-        if self.parallel_threshold is not None:
-            warnings.warn(
-                "ServiceConfig.parallel_threshold is deprecated: the "
-                "cost-based planner routes engine='auto' queries (see "
-                "docs/PLANNER.md).  The threshold is honoured as a "
-                "planner override for now.",
-                DeprecationWarning,
-                stacklevel=2,
-            )
 
 
 @dataclass
@@ -495,10 +472,21 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- plumbing ------------------------------------------------------
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
-        if length <= 0:
-            raise _BadRequest("request body required")
-        if length > _MAX_BODY_BYTES:
+        declared = self.headers.get("Content-Length", "0")
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if not 0 < length <= _MAX_BODY_BYTES:
+            # A body left unread would be parsed as the next request on
+            # this keep-alive connection: answer, then hang up.
+            self.close_connection = True
+            if length < 0:
+                raise _BadRequest(
+                    f"malformed Content-Length header {declared!r}"
+                )
+            if length == 0:
+                raise _BadRequest("request body required")
             raise _BadRequest(
                 f"request body of {length} bytes exceeds the "
                 f"{_MAX_BODY_BYTES}-byte limit"
@@ -532,6 +520,8 @@ class _Handler(BaseHTTPRequestHandler):
         trace_id = current_trace_id()
         if trace_id:
             self.send_header("X-Trace-Id", trace_id)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         # Status line, headers and body leave in one write.  Written as
         # two (end_headers(), then the body) under Nagle, the body waits
         # for the client's delayed ACK of the headers: ~40 ms on every
@@ -660,60 +650,6 @@ def _parse_request(body: dict, *, protocol: frozenset = _PROTOCOL_KEYS):
     return SDHRequest.from_dict(payload), body.get("rng")
 
 
-def _maybe_parallel(
-    config: ServiceConfig, particles: ParticleSet, request: SDHRequest
-) -> SDHRequest:
-    """The deprecated static-threshold override: upgrade an auto-engine
-    exact query to the parallel engine when the dataset crosses
-    :attr:`ServiceConfig.parallel_threshold`.  Kept as a planner
-    override — the pinned worker count constrains the planner to the
-    parallel engine downstream."""
-    if (
-        config.parallel_threshold is None
-        or request.engine != "auto"
-        or request.workers is not None
-        or request.approximate
-        or request.weights is not None  # parallel engine is unweighted
-        or particles.size < config.parallel_threshold
-    ):
-        return request
-    workers = config.parallel_workers or (os.cpu_count() or 1)
-    if workers <= 1:
-        return request
-    return request.replace(workers=workers)
-
-
-def _route_request(
-    state: _ServiceState,
-    particles: ParticleSet,
-    request: SDHRequest,
-    b: ParticleSet | None = None,
-):
-    """Plan one query; returns ``(executable_request, plan_or_None)``.
-
-    The deprecated ``parallel_threshold`` shim is applied first (it
-    pins a worker count, which the planner treats as a constraint);
-    then ``engine="auto"`` queries — and any query carrying a
-    ``latency_budget_ms`` — go through the cost-based planner.  The
-    planner treats index build cost as sunk (``cache_hot``) because
-    the plan cache amortizes pyramids across queries — except for
-    cross-set queries, whose combined (A ∪ B) pyramid is built per
-    call and therefore priced cold.  Raises
-    :class:`~repro.errors.SLOInfeasibleError` (HTTP 422) when no
-    strategy fits the budget.
-    """
-    if b is None:
-        request = _maybe_parallel(state.config, particles, request)
-    if request.planner != "auto" or (
-        request.engine != "auto" and request.latency_budget_ms is None
-    ):
-        return request, None
-    from ..planner import plan_request
-
-    plan = plan_request(request, particles, cache_hot=b is None, b=b)
-    return plan.request, plan
-
-
 def _engine_label(request: SDHRequest) -> str:
     """Stats-aggregate bucket: approx / parallel / exact."""
     if request.approximate:
@@ -766,7 +702,12 @@ def _compute_sdh_body(
     build a combined (A ∪ B) structure — and run through
     :func:`compute_sdh` directly inside the executor slot.
     """
-    routed, query_plan = _route_request(state, particles, request, b=b)
+    # The plan cache amortizes pyramids across queries, so the planner
+    # prices index builds as sunk (cache_hot) — except for cross-set
+    # queries, whose combined (A ∪ B) pyramid is built per call.
+    routed, query_plan = route_request(
+        particles, request, cache_hot=b is None, b=b
+    )
 
     def run() -> tuple[Any, SDHStats]:
         stats = SDHStats()
@@ -857,7 +798,7 @@ def _handle_batch(state: _ServiceState, body: dict) -> dict:
                     f"queries[{index}] names dataset_b: cross-set "
                     "queries must go to /v1/sdh"
                 )
-            routed, _ = _route_request(state, particles, request)
+            routed, _ = route_request(particles, request, cache_hot=True)
             key = result_cache_key("sdh", fingerprint, request, rng)
             parsed.append((routed, rng, key))
         except ReproError as exc:

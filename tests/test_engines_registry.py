@@ -161,54 +161,18 @@ class TestCapabilities:
 
 
 class TestLegacyCapabilityShims:
-    """One-release compatibility for the pre-kernel capability API."""
-
-    def test_legacy_keywords_warn_and_expand(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            caps = EngineCapabilities(periodic=True, restricted=True)
-        assert caps.supports_periodic
-        assert caps.supports_region
-        assert caps.supports_type_filter
-        assert caps.supports_type_pair
-        assert not caps.supports_mbr
-
-    def test_legacy_properties_warn(self):
-        caps = EngineCapabilities(
-            supports_periodic=True,
-            supports_region=True,
-            supports_type_filter=True,
-            supports_type_pair=True,
-        )
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            assert caps.periodic
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            assert caps.restricted
-
-    def test_legacy_string_set_registration_warns(self):
-        with pytest.warns(DeprecationWarning, match="string set"):
-            register_engine(
-                "legacy-test",
-                lambda *a, **k: None,
-                capabilities={"periodic", "mbr"},
-            )
-        try:
-            caps = get_engine("legacy-test").capabilities
-            assert caps.supports_periodic
-            assert caps.supports_mbr
-            assert not caps.supports_workers
-        finally:
-            unregister_engine("legacy-test")
+    """The pre-kernel capability forms are gone and fail loudly."""
 
     def test_unknown_legacy_keyword_rejected(self):
-        with pytest.raises(QueryError, match="unknown EngineCapabilities"):
-            EngineCapabilities(warp_drive=True)
+        with pytest.raises(TypeError, match="restricted"):
+            EngineCapabilities(restricted=True)
 
     def test_unknown_capability_string_rejected(self):
-        with pytest.raises(QueryError, match="unknown capability"):
+        with pytest.raises(QueryError, match="EngineCapabilities instance"):
             register_engine(
                 "bad-caps-test",
                 lambda *a, **k: None,
-                capabilities={"warp"},
+                capabilities={"periodic"},
             )
 
 

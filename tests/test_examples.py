@@ -5,11 +5,14 @@ one in a subprocess (so import-time and ``__main__`` behaviour are both
 covered) and sanity-check the printed output.
 """
 
+import doctest
 import os
 import subprocess
 import sys
 
 import pytest
+
+import repro
 
 EXAMPLES_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -39,7 +42,12 @@ EXPECTED_SNIPPETS = {
 
 def _run(script: str) -> str:
     result = subprocess.run(
-        [sys.executable, os.path.join(EXAMPLES_DIR, script)],
+        [
+            sys.executable,
+            "-W",
+            "error::DeprecationWarning",
+            os.path.join(EXAMPLES_DIR, script),
+        ],
         capture_output=True,
         text=True,
         timeout=600,
@@ -53,6 +61,13 @@ def test_example_runs(script):
     stdout = _run(script)
     for snippet in EXPECTED_SNIPPETS[script]:
         assert snippet in stdout, (script, snippet, stdout[-2000:])
+
+
+def test_package_docstring_example():
+    """The usage example in ``repro.__doc__`` runs as written."""
+    result = doctest.testmod(repro)
+    assert result.attempted > 0
+    assert result.failed == 0
 
 
 def test_all_examples_are_covered():

@@ -5,6 +5,7 @@ import pytest
 
 from repro import (
     SDHQuery,
+    SDHRequest,
     SDHStats,
     UniformBuckets,
     adm_sdh,
@@ -29,7 +30,7 @@ class TestMembranePipeline:
         spec = UniformBuckets.with_count(
             system.max_possible_distance, 50
         )
-        exact = compute_sdh(system, spec=spec)
+        exact = compute_sdh(system, SDHRequest(spec=spec))
         assert exact.total == system.num_pairs
 
         approx = adm_sdh(system, spec=spec, levels=2, heuristic=3, rng=0)
@@ -55,12 +56,16 @@ class TestMembranePipeline:
         spec = UniformBuckets.with_count(
             system.max_possible_distance, 12
         )
-        water_water = compute_sdh(system, spec=spec, type_filter="water")
+        water_water = compute_sdh(
+            system,
+            SDHRequest(spec=spec, type_filter="water"),
+        )
         n_water = system.type_count("water")
         assert water_water.total == n_water * (n_water - 1) / 2
 
         head_tail = compute_sdh(
-            system, spec=spec, type_pair=("head", "tail")
+            system,
+            SDHRequest(spec=spec, type_pair=("head", "tail")),
         )
         assert head_tail.total == system.type_count(
             "head"
@@ -80,7 +85,11 @@ class TestOperationScaling:
                 data.max_possible_distance, 4
             )
             stats = SDHStats()
-            compute_sdh(data, spec=spec, engine="grid", stats=stats)
+            compute_sdh(
+                data,
+                SDHRequest(spec=spec, engine="grid"),
+                stats=stats,
+            )
             ops.append(stats.total_operations)
         slope = fit_loglog_slope(np.asarray(ns, float), np.asarray(ops, float))
         assert slope < 1.85
@@ -109,14 +118,14 @@ class TestDatabaseScenario:
         reference_spec = UniformBuckets.with_count(
             data.max_possible_distance, 8
         )
-        exact = plan.histogram(spec=reference_spec)
+        exact = plan.run(SDHRequest(spec=reference_spec))
         assert exact.total == data.num_pairs
 
-        coarse = plan.histogram(num_buckets=2)
+        coarse = plan.run(SDHRequest(num_buckets=2))
         assert coarse.total == data.num_pairs
 
-        approx = plan.histogram(
-            spec=reference_spec, error_bound=0.1, rng=0
+        approx = plan.run(
+            SDHRequest(spec=reference_spec, error_bound=0.1), rng=0
         )
         assert approx.error_rate(exact) < 0.1
 

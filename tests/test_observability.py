@@ -316,13 +316,13 @@ class TestPublishStats:
         assert dist.labels(engine="grid").value == 42
 
     def test_compute_sdh_publishes_to_default_registry(self):
-        from repro import compute_sdh, uniform
+        from repro import SDHRequest, compute_sdh, uniform
 
         data = uniform(120, dim=2, rng=7)
         before = get_registry().get("sdh_queries_total")
         before_val = (
             before.labels(engine="grid").value if before is not None else 0
         )
-        compute_sdh(data, num_buckets=4, engine="grid")
+        compute_sdh(data, SDHRequest(num_buckets=4, engine="grid"))
         after = get_registry().get("sdh_queries_total")
         assert after.labels(engine="grid").value == before_val + 1

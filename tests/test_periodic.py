@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro import (
+    SDHRequest,
     UniformBuckets,
     adm_sdh,
     brute_force_sdh,
@@ -114,8 +115,8 @@ class TestPeriodicEngines:
         """Wrapping genuinely moves mass toward shorter distances."""
         data = uniform(300, dim=2, rng=173)
         spec = UniformBuckets.with_count(data.max_possible_distance, 8)
-        plain = compute_sdh(data, spec=spec)
-        wrapped = compute_sdh(data, spec=spec, periodic=True)
+        plain = compute_sdh(data, SDHRequest(spec=spec))
+        wrapped = compute_sdh(data, SDHRequest(spec=spec, periodic=True))
         assert not np.array_equal(plain.counts, wrapped.counts)
         # No min-image distance exceeds the torus maximum.
         torus_max = data.max_periodic_distance
@@ -156,12 +157,13 @@ class TestPeriodicEngines:
         data = uniform(100, dim=2, rng=175)
         with pytest.raises(QueryError):
             compute_sdh(
-                data, num_buckets=4, engine="tree", periodic=True
+                data,
+                SDHRequest(num_buckets=4, engine="tree", periodic=True),
             )
 
     def test_default_spec_covers_torus(self):
         data = uniform(200, dim=2, rng=176)
-        h = compute_sdh(data, num_buckets=10, periodic=True)
+        h = compute_sdh(data, SDHRequest(num_buckets=10, periodic=True))
         assert h.spec.high == pytest.approx(data.max_periodic_distance)
         assert h.total == data.num_pairs
 
@@ -173,7 +175,8 @@ class TestPeriodicEngines:
         )
         spec = UniformBuckets.with_count(data.max_periodic_distance, 6)
         got = compute_sdh(
-            data, spec=spec, type_filter="A", periodic=True
+            data,
+            SDHRequest(spec=spec, type_filter="A", periodic=True),
         )
         expected = brute_force_sdh(
             data.of_type("A"), spec=spec, periodic=True
@@ -208,14 +211,14 @@ class TestPeriodicRDF:
     def test_ideal_gas_flat_to_half_box(self):
         data = uniform(6000, dim=3, rng=180)
         spec = UniformBuckets.with_count(data.max_periodic_distance, 40)
-        h = compute_sdh(data, spec=spec, periodic=True)
+        h = compute_sdh(data, SDHRequest(spec=spec, periodic=True))
         rdf = rdf_from_histogram(h, data, finite_size="periodic")
         np.testing.assert_allclose(rdf.g[2:35], 1.0, atol=0.15)
 
     def test_periodic_matches_shell_at_small_r(self):
         data = uniform(6000, dim=3, rng=181)
         spec = UniformBuckets.with_count(data.max_periodic_distance, 40)
-        h = compute_sdh(data, spec=spec, periodic=True)
+        h = compute_sdh(data, SDHRequest(spec=spec, periodic=True))
         g_per = rdf_from_histogram(h, data, finite_size="periodic").g
         g_shell = rdf_from_histogram(h, data, finite_size="shell").g
         np.testing.assert_allclose(g_per[:10], g_shell[:10], rtol=0.02)
@@ -225,7 +228,7 @@ class TestPeriodicRDF:
         nearest-neighbour peak is clean at the lattice constant."""
         data = lattice(10, dim=2, jitter=0.02, rng=0)
         spec = UniformBuckets.with_count(data.max_periodic_distance, 70)
-        h = compute_sdh(data, spec=spec, periodic=True)
+        h = compute_sdh(data, SDHRequest(spec=spec, periodic=True))
         rdf = rdf_from_histogram(h, data, finite_size="periodic")
         spacing = 1.0 / 10
         peak_r, peak_g = rdf.truncated(1.4 * spacing).first_peak()

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 import scipy.special
 
-from repro.core import UniformBuckets, adm_sdh, brute_force_sdh, compute_sdh
+from repro.core import (
+    SDHRequest,
+    UniformBuckets,
+    adm_sdh,
+    brute_force_sdh,
+    compute_sdh,
+)
 from repro.data import lattice, uniform
 from repro.errors import QueryError
 from repro.physics import (
@@ -21,7 +27,7 @@ from repro.physics.structure import _bessel_j0
 
 
 def make_rdf(data, num_buckets=60):
-    h = compute_sdh(data, num_buckets=num_buckets)
+    h = compute_sdh(data, SDHRequest(num_buckets=num_buckets))
     return rdf_from_histogram(h, data)
 
 

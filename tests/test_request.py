@@ -1,7 +1,6 @@
 """SDHRequest: validation, normalization, JSON round-trip, kwargs shim."""
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -320,42 +319,25 @@ class TestJsonEdgeCases:
 
 
 class TestComputeSdhShim:
-    """compute_sdh accepts SDHRequest, bare kwargs, and mixtures."""
+    """compute_sdh takes an SDHRequest and nothing else."""
 
     def test_request_object(self, data):
         hist = compute_sdh(data, SDHRequest(num_buckets=8))
         assert hist.total == data.num_pairs
 
-    def test_bare_kwargs_equivalent(self, data):
-        via_request = compute_sdh(data, SDHRequest(num_buckets=8))
-        with pytest.warns(DeprecationWarning, match="keyword-style"):
-            via_kwargs = compute_sdh(data, num_buckets=8)
-        np.testing.assert_array_equal(
-            via_request.counts, via_kwargs.counts
-        )
-
     def test_positional_spec_shorthand(self, data):
         spec = UniformBuckets.with_count(data.max_possible_distance, 8)
-        hist = compute_sdh(data, spec)
-        assert hist.counts.size == 8
+        with pytest.raises(QueryError, match="takes an SDHRequest"):
+            compute_sdh(data, spec)
 
     def test_positional_width_shorthand(self, data):
         width = data.max_possible_distance / 4
-        hist = compute_sdh(data, width)
-        assert hist.total == data.num_pairs
+        with pytest.raises(QueryError, match="takes an SDHRequest"):
+            compute_sdh(data, width)
 
-    def test_request_plus_kwargs_warns_and_overrides(self, data):
-        request = SDHRequest(num_buckets=8, engine="grid")
-        with pytest.warns(DeprecationWarning, match="request.replace"):
-            hist = compute_sdh(data, request, engine="brute")
-        assert hist.total == data.num_pairs
-
-    def test_override_round_trips_to_same_answer(self, data):
-        request = SDHRequest(num_buckets=8)
-        with pytest.warns(DeprecationWarning):
-            overridden = compute_sdh(data, request, engine="brute")
-        direct = compute_sdh(data, request.replace(engine="brute"))
-        np.testing.assert_array_equal(overridden.counts, direct.counts)
+    def test_keyword_style_rejected(self, data):
+        with pytest.raises(TypeError, match="num_buckets"):
+            compute_sdh(data, num_buckets=8)
 
 
 class TestPlannerFields:

@@ -58,7 +58,7 @@ class TestRegisterAndQuery:
         key = client.register(dataset)
         assert key == dataset.fingerprint()
         hist = client.sdh(key, num_buckets=8)
-        direct = compute_sdh(dataset, num_buckets=8)
+        direct = compute_sdh(dataset, SDHRequest(num_buckets=8))
         np.testing.assert_array_equal(hist.counts, direct.counts)
         np.testing.assert_allclose(hist.edges, direct.edges)
 
@@ -77,13 +77,13 @@ class TestRegisterAndQuery:
         )
         key = client.register(typed)
         hist = client.sdh(key, num_buckets=5, type_filter="C")
-        direct = compute_sdh(typed, num_buckets=5, type_filter="C")
+        direct = compute_sdh(typed, SDHRequest(num_buckets=5, type_filter="C"))
         np.testing.assert_array_equal(hist.counts, direct.counts)
 
     def test_bucket_width_query(self, client, dataset):
         key = client.register(dataset)
         hist = client.sdh(key, bucket_width=0.25)
-        direct = compute_sdh(dataset, bucket_width=0.25)
+        direct = compute_sdh(dataset, SDHRequest(bucket_width=0.25))
         np.testing.assert_array_equal(hist.counts, direct.counts)
 
     def test_approximate_query(self, client, dataset):
@@ -96,7 +96,7 @@ class TestRegisterAndQuery:
         key = client.register(dataset)
         remote = client.rdf(key, num_buckets=24)
         direct = rdf_from_histogram(
-            compute_sdh(dataset, num_buckets=24), dataset
+            compute_sdh(dataset, SDHRequest(num_buckets=24)), dataset
         )
         np.testing.assert_allclose(remote.g, direct.g)
         np.testing.assert_allclose(remote.r, direct.r)
@@ -251,7 +251,7 @@ class TestConcurrencySmoke:
         client = SDHClient(service.url)
         key = client.register(dataset)
         expected = {
-            l: compute_sdh(dataset, num_buckets=l).counts
+            l: compute_sdh(dataset, SDHRequest(num_buckets=l)).counts
             for l in (4, 8, 16, 32)
         }
         results = {}
@@ -300,9 +300,9 @@ class TestBatchEndpoint:
         for result, expected in zip(
             results,
             [
-                compute_sdh(dataset, num_buckets=4),
-                compute_sdh(dataset, num_buckets=8),
-                compute_sdh(dataset, bucket_width=0.25),
+                compute_sdh(dataset, SDHRequest(num_buckets=4)),
+                compute_sdh(dataset, SDHRequest(num_buckets=8)),
+                compute_sdh(dataset, SDHRequest(bucket_width=0.25)),
             ],
         ):
             np.testing.assert_array_equal(result.counts, expected.counts)
@@ -335,10 +335,12 @@ class TestBatchEndpoint:
         assert isinstance(results[2], ServiceError)
         assert "unknown query parameters" in str(results[2])
         np.testing.assert_array_equal(
-            results[0].counts, compute_sdh(dataset, num_buckets=8).counts
+            results[0].counts,
+            compute_sdh(dataset, SDHRequest(num_buckets=8)).counts,
         )
         np.testing.assert_array_equal(
-            results[3].counts, compute_sdh(dataset, num_buckets=4).counts
+            results[3].counts,
+            compute_sdh(dataset, SDHRequest(num_buckets=4)).counts,
         )
 
     def test_batch_raises_first_error_by_default(self, client, dataset):
@@ -353,60 +355,27 @@ class TestBatchEndpoint:
 
 
 class TestParallelRouting:
-    def test_threshold_routes_to_parallel_engine(self, dataset):
-        config = ServiceConfig(
-            max_workers=2,
-            max_queue=4,
-            parallel_threshold=100,
-            parallel_workers=2,
-        )
-        with SDHService(config) as service:
-            client = SDHClient(service.url)
-            key = client.register(dataset)
-            hist = client.sdh(key, num_buckets=8)
-            direct = compute_sdh(dataset, num_buckets=8)
-            np.testing.assert_array_equal(hist.counts, direct.counts)
-            stats = client.stats()
-            assert stats["engines"]["parallel"]["queries"] == 1
-            assert "exact" not in stats["engines"]
-
-    def test_small_datasets_stay_serial(self, dataset):
-        config = ServiceConfig(
-            max_workers=2,
-            max_queue=4,
-            parallel_threshold=dataset.size + 1,
-            parallel_workers=2,
-        )
-        with SDHService(config) as service:
-            client = SDHClient(service.url)
-            key = client.register(dataset)
-            client.sdh(key, num_buckets=8)
-            stats = client.stats()
-            assert stats["engines"]["exact"]["queries"] == 1
-            assert "parallel" not in stats["engines"]
+    def test_small_datasets_stay_serial(self, client, dataset):
+        key = client.register(dataset)
+        client.sdh(key, num_buckets=8)
+        stats = client.stats()
+        assert stats["engines"]["exact"]["queries"] == 1
+        assert "parallel" not in stats["engines"]
 
     def test_explicit_workers_over_the_wire(self, client, dataset):
         key = client.register(dataset)
         hist = client.sdh(key, num_buckets=8, workers=2)
-        direct = compute_sdh(dataset, num_buckets=8)
+        direct = compute_sdh(dataset, SDHRequest(num_buckets=8))
         np.testing.assert_array_equal(hist.counts, direct.counts)
         stats = client.stats()
         assert stats["engines"]["parallel"]["queries"] == 1
 
-    def test_approximate_never_auto_routed(self, dataset):
-        config = ServiceConfig(
-            max_workers=2,
-            max_queue=4,
-            parallel_threshold=1,
-            parallel_workers=2,
-        )
-        with SDHService(config) as service:
-            client = SDHClient(service.url)
-            key = client.register(dataset)
-            client.sdh(key, num_buckets=8, levels=1, rng=5)
-            stats = client.stats()
-            assert stats["engines"]["approx"]["queries"] == 1
-            assert "parallel" not in stats["engines"]
+    def test_approximate_never_auto_routed(self, client, dataset):
+        key = client.register(dataset)
+        client.sdh(key, num_buckets=8, levels=1, rng=5)
+        stats = client.stats()
+        assert stats["engines"]["approx"]["queries"] == 1
+        assert "parallel" not in stats["engines"]
 
 
 class TestStats:
@@ -605,6 +574,42 @@ class TestWire:
             raw = b"".join(iter(lambda: sock.recv(65536), b""))
         assert json.loads(raw) == {"status": "ok"}
 
+    @staticmethod
+    def _exchange(service, data: bytes) -> bytes:
+        """Send raw bytes; read until the server closes the connection."""
+        with socket.create_connection(service.address, timeout=10) as sock:
+            sock.sendall(data)
+            return b"".join(iter(lambda: sock.recv(65536), b""))
+
+    def test_oversized_body_closes_the_connection(self, service):
+        # The declared body is never read, so the server must hang up:
+        # on a kept-alive connection the next bytes would be parsed as
+        # a request of their own.
+        raw = self._exchange(
+            service,
+            b"POST /v1/sdh HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: 300000000\r\n\r\n"
+            b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+        )
+        assert raw.startswith(b"HTTP/1.1 400 ")
+        assert raw.count(b"HTTP/1.1 ") == 1
+        assert b"exceeds the" in raw
+        assert b"Connection: close" in raw
+
+    @pytest.mark.parametrize("declared", [b"abc", b"-5"])
+    def test_malformed_content_length_is_400(self, service, declared):
+        raw = self._exchange(
+            service,
+            b"POST /v1/sdh HTTP/1.1\r\nHost: t\r\nContent-Length: "
+            + declared
+            + b"\r\n\r\nGET /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+        )
+        assert raw.startswith(b"HTTP/1.1 400 ")
+        assert raw.count(b"HTTP/1.1 ") == 1
+        body = json.loads(raw.split(b"\r\n\r\n", 1)[1])
+        assert body["error"]["type"] == "BadRequest"
+        assert "Content-Length" in body["error"]["message"]
+
 
 class TestPlannerIntegration:
     """Cost-based routing at the service layer: plan block, SLOs, 422."""
@@ -620,7 +625,7 @@ class TestPlannerIntegration:
         assert plan["predicted_ms"] > 0
         assert plan["candidates"], "ranked candidates must be included"
         # The routed result is still bit-identical to a forced engine.
-        direct = compute_sdh(dataset, num_buckets=8)
+        direct = compute_sdh(dataset, SDHRequest(num_buckets=8))
         np.testing.assert_array_equal(body["counts"], direct.counts)
 
     def test_forced_engine_skips_planning(self, client, dataset):
@@ -663,7 +668,7 @@ class TestPlannerIntegration:
             "POST", "/v1/sdh",
             {"dataset": key, "num_buckets": 8, "latency_budget_ms": 60000},
         )
-        direct = compute_sdh(dataset, num_buckets=8)
+        direct = compute_sdh(dataset, SDHRequest(num_buckets=8))
         np.testing.assert_array_equal(body["counts"], direct.counts)
         assert body["plan"]["predicted_ms"] <= 60000
 
@@ -681,9 +686,6 @@ class TestPlannerIntegration:
         )
         assert isinstance(results[1], SLOInfeasibleError)
         np.testing.assert_array_equal(
-            results[0].counts, compute_sdh(dataset, num_buckets=8).counts
+            results[0].counts,
+            compute_sdh(dataset, SDHRequest(num_buckets=8)).counts,
         )
-
-    def test_parallel_threshold_is_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="parallel_threshold"):
-            ServiceConfig(parallel_threshold=100)

@@ -76,7 +76,8 @@ class TestWirePath:
         weights = np.linspace(-1.0, 2.0, dataset.size)
         hist = client.sdh(key, num_buckets=6, weights=weights)
         direct = compute_sdh(
-            dataset.with_weights(weights), num_buckets=6
+            dataset.with_weights(weights),
+            SDHRequest(num_buckets=6),
         )
         np.testing.assert_array_equal(hist.counts, direct.counts)
 
@@ -84,7 +85,7 @@ class TestWirePath:
         key_a = client.register(dataset)
         key_b = client.register(dataset_b)
         hist = client.sdh(key_a, num_buckets=6, dataset_b=key_b)
-        direct = compute_sdh(dataset, num_buckets=6, b=dataset_b)
+        direct = compute_sdh(dataset, SDHRequest(num_buckets=6), b=dataset_b)
         np.testing.assert_array_equal(hist.counts, direct.counts)
         assert hist.total == dataset.size * dataset_b.size
 
@@ -135,23 +136,6 @@ class TestWirePath:
         assert not isinstance(results[0], Exception)
         assert isinstance(results[1], Exception)
         assert "dataset_b" in str(results[1])
-
-
-class TestParallelThresholdShim:
-    def test_weighted_queries_stay_serial(self, dataset):
-        # The deprecated static threshold must not pin workers on a
-        # weighted request — the parallel engine cannot serve it.
-        with SDHService(
-            max_workers=2, parallel_threshold=1, parallel_workers=2
-        ) as service:
-            client = SDHClient(service.url)
-            key = client.register(dataset)
-            weights = np.ones(dataset.size)
-            hist = client.sdh(key, num_buckets=5, weights=weights)
-            direct = compute_sdh(
-                dataset.with_weights(weights), num_buckets=5
-            )
-            np.testing.assert_array_equal(hist.counts, direct.counts)
 
 
 class TestCrossResultCache:
