@@ -35,7 +35,7 @@ def mbr_data():
         spec = UniformBuckets.with_count(
             data.max_possible_distance, NUM_BUCKETS
         )
-        pyramid = GridPyramid(data, with_mbr=True)
+        pyramid = GridPyramid(data)
         per_family = {}
         reference = None
         for use_mbr in (False, True):
@@ -114,7 +114,7 @@ class TestMBRAblation:
 
 def test_benchmark_with_mbr(benchmark, mbr_data):
     data = make_dataset("zipf", 8000, dim=2, seed=21)
-    pyramid = GridPyramid(data, with_mbr=True)
+    pyramid = GridPyramid(data)
     spec = UniformBuckets.with_count(
         data.max_possible_distance, NUM_BUCKETS
     )

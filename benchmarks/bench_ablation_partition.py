@@ -43,7 +43,7 @@ def partition_data():
                 GridPyramid(data), spec=spec, stats=stats
             ),
             "quadtree+MBR": lambda: dm_sdh_grid(
-                GridPyramid(data, with_mbr=True),
+                GridPyramid(data),
                 spec=spec,
                 use_mbr=True,
                 stats=stats,

@@ -83,10 +83,7 @@ def adm_sdh(
             "provide exactly one of levels / error_bound / op_budget"
         )
 
-    if isinstance(data, GridPyramid):
-        pyramid = data
-    else:
-        pyramid = GridPyramid(data, with_mbr=use_mbr)
+    pyramid = data if isinstance(data, GridPyramid) else GridPyramid(data)
 
     resolved_spec = _resolve_spec(
         spec, bucket_width, pyramid.particles, periodic=periodic

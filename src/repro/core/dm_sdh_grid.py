@@ -12,12 +12,15 @@ bit-identical to the naive formulation, which the test suite checks):
 
 * **offset-class tables** — on a given level, the min/max distance
   bounds of a cell pair depend only on the per-axis index offset, so
-  the resolve decision and target bucket are precomputed once per level
-  for all ``G^d`` offset classes and then applied to pair batches with
-  a single gather;
-* **index-space expansion** — unresolved pairs are refined by integer
-  index arithmetic (``child = 2 * parent + offset``) without en-/
-  decoding flat cell ids per level.
+  the resolve decision, target bucket and bounds are precomputed once
+  per level for all ``G^d`` offset classes and then applied to pair
+  batches with a single gather.  A pair's class is the Morton id of its
+  offsets, computed from the two cell ids by masked subtraction; only
+  the allocator's per-axis offsets are ever de-interleaved;
+* **Morton-code expansion** — pyramid cells are Morton-ordered, so the
+  children of cell ``c`` are ``2^d * c + k``: a batch of unresolved
+  pairs is refined by one broadcast per side, a liveness lookup and
+  ``np.flatnonzero`` over the (parent, child_a, child_b) mask.
 
 The same engine runs the approximate ADM-SDH of Sec. V: a ``stop``
 parameter bounds how many density maps are visited, and the pairs still
@@ -37,7 +40,7 @@ from ..data.particles import ParticleSet
 from ..errors import DistanceOverflowError, QueryError
 from ..geometry import box_pair_bounds
 from ..kernels import exact, expand_products, fast_uniform_width, get_backend
-from ..quadtree.grid import GridPyramid
+from ..quadtree.grid import GridPyramid, pool_levels
 from .buckets import BucketSpec, OverflowPolicy, UniformBuckets
 from .heuristics import AllocationContext, Allocator
 from .histogram import DistanceHistogram
@@ -98,10 +101,7 @@ def dm_sdh_grid(
         Heuristic that distributes the unresolved pairs' counts
         (Sec. V heuristics; see :func:`repro.core.heuristics.make_allocator`).
     """
-    if isinstance(data, GridPyramid):
-        pyramid = data
-    else:
-        pyramid = GridPyramid(data, with_mbr=use_mbr)
+    pyramid = data if isinstance(data, GridPyramid) else GridPyramid(data)
     engine = GridSDHEngine(
         pyramid,
         spec=spec,
@@ -123,13 +123,16 @@ def dm_sdh_grid(
 class _LevelTable:
     """Per-level lookup over all offset classes ``|di|`` per axis.
 
-    ``status[cls]`` is one of the class constants above; ``bucket[cls]``
-    the target bucket for resolved classes.  ``cls`` is the row-major
-    encoding of the per-axis absolute offsets.
+    ``status[cls]`` is one of the class constants above, ``bucket[cls]``
+    the target bucket for resolved classes and ``u``/``v`` the class's
+    min/max distance bounds.  ``cls`` is the Morton id of the per-axis
+    absolute offsets (:meth:`GridPyramid.offset_ids`).
     """
 
     status: np.ndarray
     bucket: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
 
 
 class GridSDHEngine:
@@ -158,8 +161,6 @@ class GridSDHEngine:
         self.spec = _resolve_spec(
             spec, bucket_width, self.particles, periodic=self.periodic
         )
-        if use_mbr and not pyramid.has_mbr:
-            raise QueryError("use_mbr requires a pyramid built with_mbr=True")
         if use_mbr and self.periodic:
             raise QueryError(
                 "MBR resolution is not defined under periodic boundaries"
@@ -292,15 +293,14 @@ class GridSDHEngine:
         """Run the level-by-level worklist from ``level`` down to the end.
 
         ``batches`` yields same-level cell-pair batches as pairs of
-        per-axis index arrays of shape (n, d).  Unresolved pairs are
-        expanded to their children and re-drained until ``last_level``
-        settles everything (distances in exact mode, the allocator in
-        approximate mode).
+        cell-id arrays.  Unresolved pairs are expanded to their children
+        and re-drained until ``last_level`` settles everything
+        (distances in exact mode, the allocator in approximate mode).
         """
         while True:
             carry: list[tuple[np.ndarray, np.ndarray]] = []
-            for idx_a, idx_b in batches:
-                unresolved = self._process_batch(level, idx_a, idx_b,
+            for cells_a, cells_b in batches:
+                unresolved = self._process_batch(level, cells_a, cells_b,
                                                  last_level)
                 if unresolved is not None:
                     carry.append(unresolved)
@@ -313,7 +313,7 @@ class GridSDHEngine:
     # Resumable entry points (used by the parallel engine's workers)
     # ------------------------------------------------------------------
     def process_pairs(
-        self, level: int, idx_a: np.ndarray, idx_b: np.ndarray
+        self, level: int, cells_a: np.ndarray, cells_b: np.ndarray
     ) -> None:
         """Fully resolve one batch of same-level cell pairs.
 
@@ -324,7 +324,7 @@ class GridSDHEngine:
         for its shard of the frontier and ships both back for merging.
         """
         last_level = self.pyramid.leaf_level
-        self._drain(level, iter([(idx_a, idx_b)]), last_level)
+        self._drain(level, iter([(cells_a, cells_b)]), last_level)
 
     def process_intra_cells(self, cells: np.ndarray) -> None:
         """Compute intra-cell leaf distances for the given cells only.
@@ -339,79 +339,51 @@ class GridSDHEngine:
     # Level geometry tables
     # ------------------------------------------------------------------
     def _level_table(self, level: int) -> _LevelTable:
-        """Status/bucket for every offset class of a level (cached)."""
+        """Status, bucket and bounds of every offset class (cached)."""
         table = self._tables.get(level)
         if table is not None:
             return table
         grid = self.pyramid.cells_per_axis(level)
         sides = self.pyramid.cell_sides(level)
-        dim = self.pyramid.dim
-
-        offsets = np.arange(grid, dtype=np.float64)
+        # Row c: the per-axis offsets whose Morton id is c.
+        offsets = self.pyramid.decode(
+            level, np.arange(grid**self.pyramid.dim)
+        )
+        gap = np.maximum(offsets - 1, 0) * sides
         if self.periodic:
             from ..geometry.distance import periodic_interval_minmax
 
-            gap_1d = []
-            span_1d = []
-            for ax in range(dim):
-                length = grid * sides[ax]
-                a = np.maximum(offsets - 1, 0.0) * sides[ax]
-                b = np.minimum(offsets + 1, grid) * sides[ax]
-                g_min, g_max = periodic_interval_minmax(a, b, length)
-                gap_1d.append(g_min)
-                span_1d.append(g_max)
+            gap, span = periodic_interval_minmax(
+                gap, np.minimum(offsets + 1, grid) * sides, grid * sides
+            )
         else:
-            gap_1d = [
-                np.maximum(offsets - 1, 0.0) * sides[ax]
-                for ax in range(dim)
-            ]
-            span_1d = [(offsets + 1) * sides[ax] for ax in range(dim)]
-        # Row-major class encoding: axis 0 fastest.
-        shape = (grid,) * dim
-        gap_sq = np.zeros(shape)
-        span_sq = np.zeros(shape)
-        for ax in range(dim):
-            view = [None] * dim
-            view[ax] = slice(None)
-            idx = tuple(view[::-1])  # axis 0 fastest -> last array axis
-            gap_sq = gap_sq + (gap_1d[ax][idx] ** 2)
-            span_sq = span_sq + (span_1d[ax][idx] ** 2)
-        u = np.sqrt(gap_sq.reshape(-1))
-        v = np.sqrt(span_sq.reshape(-1))
+            span = (offsets + 1) * sides
+        gap_sq = np.zeros(offsets.shape[0])
+        span_sq = np.zeros(offsets.shape[0])
+        for ax in range(self.pyramid.dim):
+            gap_sq = gap_sq + gap[:, ax] ** 2
+            span_sq = span_sq + span[:, ax] ** 2
+        u = np.sqrt(gap_sq)
+        v = np.sqrt(span_sq)
+        status, bucket = self._classify(u, v)
+        table = _LevelTable(
+            status=status, bucket=bucket.astype(np.int32), u=u, v=v
+        )
+        self._tables[level] = table
+        return table
 
+    def _classify(
+        self, u: np.ndarray, v: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Status and target bucket of cell pairs with distances in [u, v]."""
         num = self.spec.num_buckets
         bu = self.spec.bucket_of(u)
         bv = self.spec.bucket_of(v)
         status = np.full(u.shape, _OPEN, dtype=np.int8)
         status[bv < 0] = _BELOW
         status[bu >= num] = _ABOVE
-        resolved = (bu == bv) & (bu >= 0) & (bu < num)
-        status[resolved] = _RESOLVED
-        table = _LevelTable(
-            status=status, bucket=bu.astype(np.int32)
-        )
-        self._tables[level] = table
-        return table
-
-    def _class_of(self, level: int, idx_a: np.ndarray,
-                  idx_b: np.ndarray) -> np.ndarray:
-        """Offset-class ids (row-major over per-axis |di|, axis0 fastest)."""
-        grid = self.pyramid.cells_per_axis(level)
-        diff = np.abs(idx_a - idx_b)
-        cls = diff[:, -1].copy()
-        for ax in range(self.pyramid.dim - 2, -1, -1):
-            cls *= grid
-            cls += diff[:, ax]
-        return cls
-
-    def _flat(self, level: int, idx: np.ndarray) -> np.ndarray:
-        """Flat cell ids from per-axis indices (axis 0 fastest)."""
-        grid = self.pyramid.cells_per_axis(level)
-        flat = idx[:, -1].copy()
-        for ax in range(self.pyramid.dim - 2, -1, -1):
-            flat *= grid
-            flat += idx[:, ax]
-        return flat
+        status[(bu == bv) & (bu >= 0) & (bu < num)] = _RESOLVED
+        return status, bu
 
     def _counts_float(self, level: int) -> np.ndarray:
         """Per-cell counts as float64 (cached; avoids per-batch casts)."""
@@ -431,16 +403,12 @@ class GridSDHEngine:
             np.arange(starts.size - 1, dtype=np.int64), np.diff(starts)
         )
 
-    def _pool_leaf(self, leaf_values: np.ndarray) -> "list[np.ndarray]":
-        grid = 1 << (self.pyramid.height - 1)
-        return _pool_values(leaf_values, grid, self.pyramid.dim)
-
     def _weight_sums(self, level: int) -> np.ndarray:
         """Exact integer weight sum per cell at a level (object array)."""
         if self._wsum_levels is None:
             leaf = exact.zero_ints(self.pyramid.leaf_starts.size - 1)
             np.add.at(leaf, self._leaf_cell_ids(), self._w_obj_sorted)
-            self._wsum_levels = self._pool_leaf(leaf)
+            self._wsum_levels = pool_levels(leaf, self.pyramid.dim)
         return self._wsum_levels[level]
 
     def _side_weight_sums(
@@ -456,7 +424,8 @@ class GridSDHEngine:
             np.add.at(leaf_a, cells[~sides], self._w_obj_sorted[~sides])
             np.add.at(leaf_b, cells[sides], self._w_obj_sorted[sides])
             self._side_wsum_levels = (
-                self._pool_leaf(leaf_a), self._pool_leaf(leaf_b)
+                pool_levels(leaf_a, self.pyramid.dim),
+                pool_levels(leaf_b, self.pyramid.dim),
             )
         return (
             self._side_wsum_levels[0][level],
@@ -471,7 +440,7 @@ class GridSDHEngine:
             leaf_b = np.bincount(
                 cells[self._sides_sorted], minlength=num
             ).astype(np.float64)
-            nb_levels = self._pool_leaf(leaf_b)
+            nb_levels = pool_levels(leaf_b, self.pyramid.dim)
             na_levels = [
                 self._counts_float(lvl) - nb_levels[lvl]
                 for lvl in range(self.pyramid.height)
@@ -483,7 +452,7 @@ class GridSDHEngine:
         )
 
     def _pair_masses(
-        self, level: int, flat_a: np.ndarray, flat_b: np.ndarray
+        self, level: int, cells_a: np.ndarray, cells_b: np.ndarray
     ) -> np.ndarray:
         """Exact pair-product masses of whole cell pairs (object array).
 
@@ -494,9 +463,9 @@ class GridSDHEngine:
         """
         if self.cross_split is not None:
             wa, wb = self._side_weight_sums(level)
-            return wa[flat_a] * wb[flat_b] + wb[flat_a] * wa[flat_b]
+            return wa[cells_a] * wb[cells_b] + wb[cells_a] * wa[cells_b]
         w = self._weight_sums(level)
-        return w[flat_a] * w[flat_b]
+        return w[cells_a] * w[cells_b]
 
     def _wrap_deltas(self, delta: np.ndarray) -> np.ndarray:
         """Apply the minimum-image convention when periodic."""
@@ -668,7 +637,6 @@ class GridSDHEngine:
         c = nonempty.size
         if c < 2:
             return
-        idx = self.pyramid.decode(level, nonempty)
         # Emit blocks of rows of the (strict upper) pair triangle.
         row = 0
         while row < c - 1:
@@ -680,14 +648,14 @@ class GridSDHEngine:
             b_rows = np.concatenate(
                 [np.arange(r + 1, c) for r in chunk_rows]
             )
-            yield idx[a_rows], idx[b_rows]
+            yield nonempty[a_rows], nonempty[b_rows]
             row += rows_here
 
     def _process_batch(
         self,
         level: int,
-        idx_a: np.ndarray,
-        idx_b: np.ndarray,
+        cells_a: np.ndarray,
+        cells_b: np.ndarray,
         last_level: int,
     ) -> tuple[np.ndarray, np.ndarray] | None:
         """Resolve one batch of same-level cell pairs.
@@ -695,32 +663,21 @@ class GridSDHEngine:
         Returns the unresolved sub-batch (to be expanded to the next
         level) or None when everything was settled here.
         """
-        counts = self._counts_float(level)
-        flat_a = self._flat(level, idx_a)
-        flat_b = self._flat(level, idx_b)
         if self.cross_split is not None:
             na, nb = self._side_counts(level)
-            weights = na[flat_a] * nb[flat_b] + nb[flat_a] * na[flat_b]
+            weights = na[cells_a] * nb[cells_b] + nb[cells_a] * na[cells_b]
         else:
-            weights = counts[flat_a] * counts[flat_b]
+            counts = self._counts_float(level)
+            weights = counts[cells_a] * counts[cells_b]
         num = self.spec.num_buckets
 
         if self.use_mbr:
-            lo_arr = self.pyramid.mbr_lo(level)
-            hi_arr = self.pyramid.mbr_hi(level)
-            u, v = box_pair_bounds(
-                lo_arr[flat_a], hi_arr[flat_a], lo_arr[flat_b], hi_arr[flat_b]
+            status, bucket = self._classify(
+                *self._mbr_bounds(level, cells_a, cells_b)
             )
-            bu = self.spec.bucket_of(u)
-            bv = self.spec.bucket_of(v)
-            status = np.full(u.shape, _OPEN, dtype=np.int8)
-            status[bv < 0] = _BELOW
-            status[bu >= num] = _ABOVE
-            status[(bu == bv) & (bu >= 0) & (bu < num)] = _RESOLVED
-            bucket = bu
         else:
             table = self._level_table(level)
-            cls = self._class_of(level, idx_a, idx_b)
+            cls = self.pyramid.offset_ids(level, cells_a, cells_b)
             status = table.status[cls]
             bucket = table.bucket[cls]
 
@@ -729,8 +686,8 @@ class GridSDHEngine:
             if self.weighted:
                 self._accum.add_resolved(
                     np.asarray(bucket[resolved], dtype=np.int64),
-                    self._pair_masses(level, flat_a[resolved],
-                                      flat_b[resolved]),
+                    self._pair_masses(level, cells_a[resolved],
+                                      cells_b[resolved]),
                 )
             else:
                 self.histogram.add_counts(
@@ -747,7 +704,7 @@ class GridSDHEngine:
         if above.any():
             if self.weighted:
                 masses = self._pair_masses(
-                    level, flat_a[above], flat_b[above]
+                    level, cells_a[above], cells_b[above]
                 )
                 self._accum.add_overflow(
                     sum(masses.tolist(), 0), int(above.sum())
@@ -756,7 +713,7 @@ class GridSDHEngine:
                 self._handle_overflow(weights[above])
         self.stats.record_batch(
             level,
-            examined=idx_a.shape[0],
+            examined=cells_a.shape[0],
             resolved=int(resolved.sum()),
             resolved_distances=float(weights[resolved].sum()),
         )
@@ -764,66 +721,49 @@ class GridSDHEngine:
         open_mask = status == _OPEN
         if not open_mask.any():
             return None
-        a_open = idx_a[open_mask]
-        b_open = idx_b[open_mask]
+        a_open = cells_a[open_mask]
+        b_open = cells_b[open_mask]
+        if level < last_level:
+            return a_open, b_open
+        if self.approximate:
+            self._allocate_open(level, a_open, b_open, weights[open_mask])
+        else:
+            self._leaf_distances(a_open, b_open)
+        return None
 
-        if level == last_level:
-            if self.approximate:
-                u_open, v_open = self._pair_bounds(
-                    level, a_open, b_open, flat_a[open_mask],
-                    flat_b[open_mask],
-                )
-                context = AllocationContext(
-                    # Under periodic boundaries the offset class does
-                    # not determine the pair geometry the sampling
-                    # model assumes; omit it so heuristic 4 falls back
-                    # to the proportional allocation.
-                    offsets=(
-                        None if self.periodic
-                        else np.abs(a_open - b_open)
-                    ),
-                    cell_sides=self.pyramid.cell_sides(level),
-                    rng=self.rng,
-                )
-                self._allocate(
-                    u_open, v_open, weights[open_mask], context
-                )
-            else:
-                self._leaf_distances(
-                    flat_a[open_mask], flat_b[open_mask]
-                )
-            return None
-        return a_open, b_open
-
-    def _pair_bounds(
+    def _allocate_open(
         self,
         level: int,
-        idx_a: np.ndarray,
-        idx_b: np.ndarray,
-        flat_a: np.ndarray,
-        flat_b: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Min/max distance bounds for a (small) subset of pairs."""
+        cells_a: np.ndarray,
+        cells_b: np.ndarray,
+        weights: np.ndarray,
+    ) -> None:
+        """Hand the pairs still open at the stop level to the allocator."""
+        cls = self.pyramid.offset_ids(level, cells_a, cells_b)
         if self.use_mbr:
-            lo_arr = self.pyramid.mbr_lo(level)
-            hi_arr = self.pyramid.mbr_hi(level)
-            return box_pair_bounds(
-                lo_arr[flat_a], hi_arr[flat_a],
-                lo_arr[flat_b], hi_arr[flat_b],
-            )
-        if self.periodic:
-            from ..geometry.distance import periodic_grid_pair_bounds
+            u, v = self._mbr_bounds(level, cells_a, cells_b)
+        else:
+            table = self._level_table(level)
+            u, v = table.u[cls], table.v[cls]
+        context = AllocationContext(
+            # Under periodic boundaries the offset class does not
+            # determine the pair geometry the sampling model assumes;
+            # omit it so heuristic 4 falls back to the proportional
+            # allocation.
+            offsets=None if self.periodic else self.pyramid.decode(level, cls),
+            cell_sides=self.pyramid.cell_sides(level),
+            rng=self.rng,
+        )
+        self._allocate(u, v, weights, context)
 
-            return periodic_grid_pair_bounds(
-                idx_a,
-                idx_b,
-                self.pyramid.cells_per_axis(level),
-                self.pyramid.cell_sides(level),
-            )
-        from ..geometry import grid_pair_bounds
-
-        return grid_pair_bounds(
-            idx_a, idx_b, self.pyramid.cell_sides(level)
+    def _mbr_bounds(
+        self, level: int, cells_a: np.ndarray, cells_b: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Min/max distance bounds of cell pairs from their particle MBRs."""
+        lo_arr = self.pyramid.mbr_lo(level)
+        hi_arr = self.pyramid.mbr_hi(level)
+        return box_pair_bounds(
+            lo_arr[cells_a], hi_arr[cells_a], lo_arr[cells_b], hi_arr[cells_b]
         )
 
     def _expand(
@@ -833,52 +773,46 @@ class GridSDHEngine:
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Children pairs of the unresolved parents (Fig. 2 lines 13-16).
 
-        Works purely in index space: each parent cell's children have
-        per-axis indices ``2 * parent + {0, 1}``.
+        Cell ``c``'s children are ``2^d * c + k``, so a chunk of parent
+        pairs expands with one broadcast per side; a flat index into the
+        (parent, child_a, child_b) liveness mask names each child pair
+        whose two cells both hold particles.
         """
-        dim = self.pyramid.dim
+        pyramid = self.pyramid
+        dim = pyramid.dim
         degree = 1 << dim
-        shifts = self.pyramid._child_offsets  # (2^d, d)
-        step = max(1, self.pair_chunk // degree)
-        child_counts = self.pyramid.counts(child_level)
+        live = pyramid.counts(child_level) > 0
+        step = max(1, self.pair_chunk // (degree * degree))
 
-        # Combo pieces are small; coalesce them into ~pair_chunk-sized
-        # batches so downstream processing stays vectorized instead of
-        # fragmenting 16x per level.
+        # Chunks with few live children are small; coalesce them into
+        # ~pair_chunk-sized batches so downstream processing stays
+        # vectorized.
         buffer_a: list[np.ndarray] = []
         buffer_b: list[np.ndarray] = []
         buffered = 0
-        for idx_a, idx_b in carry:
-            for begin in range(0, idx_a.shape[0], step):
-                a2 = idx_a[begin : begin + step] * 2
-                b2 = idx_b[begin : begin + step] * 2
-                # One pass per (child-of-a, child-of-b) shift combo:
-                # avoids materializing the (n, 2^d, 2^d, d) intermediate
-                # a broadcasted product would need.
-                for sa in range(degree):
-                    pa = a2 + shifts[sa]
-                    live_a = child_counts[self._flat(child_level, pa)] > 0
-                    if not live_a.any():
-                        continue
-                    pa = pa[live_a]
-                    b_live = b2[live_a]
-                    for sb in range(degree):
-                        pb = b_live + shifts[sb]
-                        keep = (
-                            child_counts[self._flat(child_level, pb)] > 0
-                        )
-                        if not keep.any():
-                            continue
-                        buffer_a.append(pa[keep])
-                        buffer_b.append(pb[keep])
-                        buffered += buffer_a[-1].shape[0]
-                        if buffered >= self.pair_chunk:
-                            yield (
-                                np.concatenate(buffer_a),
-                                np.concatenate(buffer_b),
-                            )
-                            buffer_a, buffer_b = [], []
-                            buffered = 0
+        for cells_a, cells_b in carry:
+            for begin in range(0, cells_a.shape[0], step):
+                kids_a = pyramid.children_of(
+                    child_level - 1, cells_a[begin : begin + step]
+                ).ravel()
+                kids_b = pyramid.children_of(
+                    child_level - 1, cells_b[begin : begin + step]
+                ).ravel()
+                mask = (
+                    live[kids_a].reshape(-1, degree, 1)
+                    & live[kids_b].reshape(-1, 1, degree)
+                )
+                # hit == (parent * 2^d + child_a) * 2^d + child_b
+                hit = np.flatnonzero(mask)
+                buffer_a.append(kids_a[hit >> dim])
+                buffer_b.append(
+                    kids_b[((hit >> (2 * dim)) << dim) | (hit & (degree - 1))]
+                )
+                buffered += hit.size
+                if buffered >= self.pair_chunk:
+                    yield np.concatenate(buffer_a), np.concatenate(buffer_b)
+                    buffer_a, buffer_b = [], []
+                    buffered = 0
         if buffered:
             yield np.concatenate(buffer_a), np.concatenate(buffer_b)
 
@@ -937,37 +871,6 @@ class GridSDHEngine:
             if level is not None:
                 return level
         return self.pyramid.leaf_level
-
-
-# Backward-compatible alias: expand_products moved to repro.kernels.csr
-# so the kernel backends can share the CSR enumeration.
-_expand_products = expand_products
-
-
-def _pool_values(
-    leaf_values: np.ndarray, grid: int, dim: int
-) -> "list[np.ndarray]":
-    """Per-level cell sums, finest to coarsest, for arbitrary dtypes.
-
-    The same 2x sum-pooling as :meth:`GridPyramid._pool_counts`, but
-    usable with float side counts and object-int weight sums (python
-    ints survive ``reshape``/``sum``, so the pooled sums stay exact).
-    """
-    height = grid.bit_length()  # grid == 2**(height-1)
-    levels: "list[np.ndarray]" = [None] * height  # type: ignore
-    levels[height - 1] = leaf_values
-    current = leaf_values.reshape((grid,) * dim, order="F")
-    for level in range(height - 2, -1, -1):
-        pooled = current
-        for axis in range(dim):
-            g = pooled.shape[axis]
-            new_shape = (
-                pooled.shape[:axis] + (g // 2, 2) + pooled.shape[axis + 1 :]
-            )
-            pooled = pooled.reshape(new_shape).sum(axis=axis + 1)
-        current = pooled
-        levels[level] = current.reshape(-1, order="F").copy()
-    return levels
 
 
 def _resolve_spec(

@@ -455,10 +455,8 @@ def _restricted_subsets(
 
 def build_plan(
     particles: ParticleSet,
-    use_mbr: bool = False,
     height: int | None = None,
     beta: float | None = None,
-    request: SDHRequest | None = None,
 ) -> "SDHQuery":
     """Build a reusable :class:`SDHQuery` plan for a dataset.
 
@@ -468,15 +466,8 @@ def build_plan(
     rebuilding.  Callers that hold plans keyed by
     :meth:`~repro.data.particles.ParticleSet.fingerprint` get the
     paper's persistent-index behaviour: one index, many queries.
-
-    When a ``request`` is given, the plan is built to serve it (today
-    that means honouring ``use_mbr``; the request's
-    :meth:`~repro.core.request.SDHRequest.plan_key` names the variant
-    for cache keying).
     """
-    if request is not None:
-        use_mbr = use_mbr or request.use_mbr
-    return SDHQuery(particles, use_mbr=use_mbr, height=height, beta=beta)
+    return SDHQuery(particles, height=height, beta=beta)
 
 
 class SDHQuery:
@@ -493,18 +484,12 @@ class SDHQuery:
     def __init__(
         self,
         particles: ParticleSet,
-        use_mbr: bool = False,
         height: int | None = None,
         beta: float | None = None,
     ):
         self._particles = particles
-        self._use_mbr = use_mbr
-        with trace_span(
-            "plan_build", particles=particles.size, use_mbr=use_mbr
-        ) as span:
-            self._pyramid = GridPyramid(
-                particles, height=height, beta=beta, with_mbr=use_mbr
-            )
+        with trace_span("plan_build", particles=particles.size) as span:
+            self._pyramid = GridPyramid(particles, height=height, beta=beta)
             span.annotate(height=self._pyramid.height)
         self._tree: DensityMapTree | None = None
         self._height = height
@@ -534,18 +519,21 @@ class SDHQuery:
             "height": pyramid.height,
             "leaf_cells": int(leaf.size),
             "occupied_leaf_cells": int(np.count_nonzero(leaf)),
-            "use_mbr": self._use_mbr,
         }
 
     @property
     def tree(self) -> DensityMapTree:
-        """The node-based density maps (built lazily for restricted queries)."""
+        """The node-based density maps with MBRs, built on first use.
+
+        Only ``engine="tree"`` requests read it; it always carries MBRs
+        so one plan serves ``use_mbr`` requests too.
+        """
         if self._tree is None:
             self._tree = DensityMapTree(
                 self._particles,
                 height=self._height,
                 beta=self._beta,
-                with_mbr=self._use_mbr,
+                with_mbr=True,
             )
         return self._tree
 

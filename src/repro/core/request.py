@@ -12,9 +12,7 @@ replaces that with a single frozen dataclass that
   error surfaces identically from the library, the CLI, and the wire;
 * round-trips through JSON (:meth:`to_dict` / :meth:`from_dict`), which
   is exactly what the HTTP service speaks — the server builds a request
-  straight from the POST body with no hand-mapping;
-* derives the plan-cache key fields (:meth:`plan_key`), so cached
-  pyramids are shared by every request that can legally use them.
+  straight from the POST body with no hand-mapping.
 
 Runtime-only concerns stay *out* of the request: an
 :class:`~repro.core.instrumentation.SDHStats` sink and an ``rng`` are
@@ -344,20 +342,6 @@ class SDHRequest:
                 "provide exactly one of bucket_width / spec / num_buckets"
             )
         return UniformBuckets.with_count(reach, self.num_buckets)
-
-    # ------------------------------------------------------------------
-    # Cache keying
-    # ------------------------------------------------------------------
-    def plan_key(self) -> str:
-        """The plan-cache variant this request needs.
-
-        A cached :class:`~repro.core.query.SDHQuery` plan is a built
-        density-map pyramid; the only request field that changes *what
-        must be built* is ``use_mbr``.  The empty string is the plain
-        variant, so plain plans keep their historical cache keys (the
-        bare dataset fingerprint).
-        """
-        return "mbr" if self.use_mbr else ""
 
     # ------------------------------------------------------------------
     # JSON round-trip

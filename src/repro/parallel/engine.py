@@ -20,7 +20,7 @@ sum without rounding.  That makes the parallel decomposition exact:
    :class:`~repro.core.instrumentation.SDHStats` — a pure, order-
    independent sum, so the result is bit-identical to ``engine="grid"``.
 
-Only the task index arrays travel through pickles; coordinates live in
+Only the tasks' cell-id arrays travel through pickles; coordinates live in
 one shared segment per run, created and unlinked by the parent.
 """
 
@@ -97,10 +97,7 @@ def parallel_sdh(
     allocator heuristics sample RNG state per batch, which has no
     order-independent merge; use the grid engine for those.
     """
-    if isinstance(data, GridPyramid):
-        pyramid = data
-    else:
-        pyramid = GridPyramid(data, with_mbr=False)
+    pyramid = data if isinstance(data, GridPyramid) else GridPyramid(data)
     if pyramid.particles.weighted:
         # The merge of exact weighted accumulators across workers is
         # not implemented; the capability registry routes weighted
@@ -293,8 +290,8 @@ def _frontier_tasks(
         if total >= fanout_pairs:
             break
         carry = []
-        for idx_a, idx_b in frontier:
-            unresolved = engine._process_batch(level, idx_a, idx_b, leaf)
+        for cells_a, cells_b in frontier:
+            unresolved = engine._process_batch(level, cells_a, cells_b, leaf)
             if unresolved is not None:
                 carry.append(unresolved)
         if not carry:
@@ -303,11 +300,11 @@ def _frontier_tasks(
         frontier = list(engine._expand(carry, child_level=level))
     if not frontier:
         return
-    idx_a = np.concatenate([a for a, _ in frontier])
-    idx_b = np.concatenate([b for _, b in frontier])
-    shards = min(int(idx_a.shape[0]), num_tasks)
+    cells_a = np.concatenate([a for a, _ in frontier])
+    cells_b = np.concatenate([b for _, b in frontier])
+    shards = min(int(cells_a.shape[0]), num_tasks)
     for t in range(shards):
-        yield ("pairs", level, idx_a[t::shards], idx_b[t::shards])
+        yield ("pairs", level, cells_a[t::shards], cells_b[t::shards])
 
 
 # ----------------------------------------------------------------------
@@ -365,8 +362,8 @@ def _run_task(task: tuple) -> tuple[np.ndarray, SDHStats, float, int]:
     elif task[0] == "triangle":
         _run_triangle(engine, task[1], task[2])
     else:
-        _, level, idx_a, idx_b = task
-        engine.process_pairs(level, idx_a, idx_b)
+        _, level, cells_a, cells_b = task
+        engine.process_pairs(level, cells_a, cells_b)
     seconds = time.perf_counter() - started
     return engine.histogram.counts, engine.stats, seconds, os.getpid()
 
@@ -385,7 +382,6 @@ def _run_triangle(engine: GridSDHEngine, t: int, shards: int) -> None:
     c = nonempty.size
     if c < 2:
         return
-    idx = pyramid.decode(level, nonempty)
     rows = np.arange(t, c - 1, shards, dtype=np.int64)
     if rows.size == 0:
         return
@@ -400,4 +396,4 @@ def _run_triangle(engine: GridSDHEngine, t: int, shards: int) -> None:
         block = rows[begin:end]
         a_rows = np.repeat(block, per_row[begin:end])
         b_rows = np.concatenate([np.arange(r + 1, c) for r in block])
-        engine.process_pairs(level, idx[a_rows], idx[b_rows])
+        engine.process_pairs(level, nonempty[a_rows], nonempty[b_rows])

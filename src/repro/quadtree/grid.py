@@ -3,19 +3,29 @@
 The linked-node tree of :mod:`repro.quadtree.tree` is a faithful replica
 of the paper's data structure, but Python objects are slow to traverse
 at scale.  :class:`GridPyramid` stores the *same* series of density maps
-as numpy arrays — one count grid per level, plus a CSR layout of the
+as numpy arrays — one count array per level, plus a CSR layout of the
 particles sorted by finest-level cell — so the vectorized DM-SDH engine
 (:mod:`repro.core.dm_sdh_grid`) can process millions of cell pairs in
 bulk.  Both structures represent identical density maps; tests assert
 their per-level counts agree cell by cell.
 
 Cells at level ``k`` form a ``2**k``-per-axis grid over the simulation
-box.  Flat cell ids are row-major over axes ``(x, y[, z])`` with x
-fastest, i.e. ``flat = ix + G * (iy + G * iz)``.
+box, numbered in Morton (Z-) order: bit ``b`` of a cell's index on axis
+``a`` is bit ``b * d + a`` of its id.  That is the node tree's child
+order (child bit ``a`` set for the upper half of axis ``a``), so
+
+* the children of cell ``c`` are cells ``2**d * c + k`` one level down,
+  and each level pools from the next with one ``reshape(-1, 2**d)``
+  reduction (:func:`pool_levels`);
+* particles sorted by leaf id are in the quadtree's depth-first leaf
+  order (Sec. IV-B), and cell ``c`` of level ``k`` owns the contiguous
+  slice ``leaf_starts[c << s] : leaf_starts[(c + 1) << s]`` of
+  :attr:`GridPyramid.sorted_positions`, with ``s = d * (leaf - k)``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -24,16 +34,61 @@ from ..data.particles import ParticleSet
 from ..errors import TreeError
 from .tree import tree_height
 
-__all__ = ["GridPyramid"]
+__all__ = ["GridPyramid", "pool_levels"]
+
+#: Index bits per axis that one lookup in the de-interleave table covers.
+_CHUNK_BITS = 4
+
+
+def pool_levels(
+    leaf_values: np.ndarray, dim: int, reduce: np.ufunc = np.add
+) -> "list[np.ndarray]":
+    """Per-level cell reductions of a leaf-level array, coarsest first.
+
+    Row ``c`` of each level reduces rows ``2**d * c ... 2**d * c +
+    2**d - 1`` of the level below.  Works for any dtype ``reduce``
+    accepts: int counts, float side counts, python-int (object) weight
+    sums, which stay exact, and ``(cells, d)`` MBR bounds pooled with
+    ``np.minimum`` / ``np.maximum``.
+    """
+    degree = 1 << dim
+    levels = [leaf_values]
+    while levels[-1].shape[0] > 1:
+        child = levels[-1]
+        levels.append(
+            reduce.reduce(child.reshape(-1, degree, *child.shape[1:]), axis=1)
+        )
+    levels.reverse()
+    return levels
+
+
+@functools.lru_cache(maxsize=None)
+def _deinterleave_table(dim: int) -> np.ndarray:
+    """Per-axis index bits ``(d, 2**(d*_CHUNK_BITS))`` of each id chunk."""
+    chunk = np.arange(1 << (dim * _CHUNK_BITS), dtype=np.int32)
+    table = np.zeros((dim, chunk.size), dtype=np.int32)
+    for bit in range(_CHUNK_BITS):
+        for axis in range(dim):
+            table[axis] |= ((chunk >> (bit * dim + axis)) & 1) << bit
+    table.setflags(write=False)  # shared by every caller of the cache
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _axis_masks(dim: int, level: int) -> "tuple[int, ...]":
+    """Per axis, the bits of a level's cell ids that hold that axis."""
+    return tuple(
+        sum(1 << (bit * dim + axis) for bit in range(level))
+        for axis in range(dim)
+    )
 
 
 class GridPyramid:
-    """Density maps of doubling resolution stored as numpy count grids.
+    """Density maps of doubling resolution stored as numpy count arrays.
 
     Parameters mirror :class:`~repro.quadtree.tree.DensityMapTree`.
-    With ``with_mbr`` the pyramid additionally stores, per level, the
-    per-cell coordinate minima/maxima of the contained particles (the
-    MBR optimization of Sec. III-C.3).
+    The per-cell MBRs of Sec. III-C.3 are pooled on first use
+    (:meth:`mbr_lo` / :meth:`mbr_hi`).
     """
 
     def __init__(
@@ -41,7 +96,6 @@ class GridPyramid:
         particles: ParticleSet,
         height: int | None = None,
         beta: float | None = None,
-        with_mbr: bool = False,
     ):
         if height is None:
             height = tree_height(particles.size, particles.dim, beta)
@@ -49,7 +103,7 @@ class GridPyramid:
             raise TreeError(f"height must be >= 1, got {height}")
         self._particles = particles
         self._height = int(height)
-        self._with_mbr = bool(with_mbr)
+        self._mbrs = None
         self._build()
 
     # ------------------------------------------------------------------
@@ -70,27 +124,25 @@ class GridPyramid:
         leaf counts (cheap — the whole pyramid holds ~(2^d/(2^d-1))×
         the leaf cell count).  ``particles`` must already hold the
         *sorted* positions, so :attr:`order` is the identity and is not
-        materialized.  MBR arrays are not reconstructed.
+        materialized.
         """
         self = cls.__new__(cls)
         if height < 1:
             raise TreeError(f"height must be >= 1, got {height}")
         self._particles = particles
         self._height = int(height)
-        self._with_mbr = False
+        self._mbrs = None
         self._leaf_starts = np.asarray(leaf_starts, dtype=np.int64)
         self._sorted_positions = sorted_positions
         self._order = None  # identity by construction; never gathered
-        grid = 1 << (self._height - 1)
         dim = particles.dim
-        if self._leaf_starts.size != grid**dim + 1:
+        num_leaves = 1 << (dim * (self._height - 1))
+        if self._leaf_starts.size != num_leaves + 1:
             raise TreeError(
                 f"leaf_starts has {self._leaf_starts.size} entries, "
-                f"expected {grid ** dim + 1} for height {self._height}"
+                f"expected {num_leaves + 1} for height {self._height}"
             )
-        leaf_counts = np.diff(self._leaf_starts)
-        self._counts = self._pool_counts(leaf_counts, grid, dim)
-        self._child_offsets = self._make_child_offsets(dim)
+        self._counts = pool_levels(np.diff(self._leaf_starts), dim)
         return self
 
     @property
@@ -107,11 +159,6 @@ class GridPyramid:
     def dim(self) -> int:
         """Spatial dimensionality."""
         return self._particles.dim
-
-    @property
-    def has_mbr(self) -> bool:
-        """Whether per-cell MBR arrays were built."""
-        return self._with_mbr
 
     @property
     def leaf_level(self) -> int:
@@ -135,7 +182,7 @@ class GridPyramid:
         return float(math.sqrt(float((sides * sides).sum())))
 
     def counts(self, level: int) -> np.ndarray:
-        """Flat int64 array of per-cell particle counts at a level."""
+        """Int64 per-cell particle counts at a level, indexed by cell id."""
         self._check_level(level)
         return self._counts[level]
 
@@ -146,29 +193,51 @@ class GridPyramid:
                 return level
         return None
 
-    # -- cell id arithmetic --------------------------------------------
-    def decode(self, level: int, flat: np.ndarray) -> np.ndarray:
-        """Per-axis integer indices ``(n, d)`` of flat cell ids."""
-        grid = self.cells_per_axis(level)
-        flat = np.asarray(flat, dtype=np.int64)
-        out = np.empty(flat.shape + (self.dim,), dtype=np.int64)
-        remaining = flat
-        for axis in range(self.dim):
-            out[..., axis] = remaining % grid
-            remaining = remaining // grid
+    # -- cell id arithmetic (Morton order) -------------------------------
+    def decode(self, level: int, ids: np.ndarray) -> np.ndarray:
+        """Per-axis integer indices ``(..., d)`` of cell ids (de-interleave)."""
+        self._check_level(level)
+        ids = np.asarray(ids, dtype=np.int64)
+        dim = self.dim
+        table = _deinterleave_table(dim)
+        chunk_bits = dim * _CHUNK_BITS
+        chunks = [
+            (ids >> (c * chunk_bits)) & ((1 << chunk_bits) - 1)
+            for c in range(-(-level // _CHUNK_BITS))
+        ]
+        out = np.zeros(ids.shape + (dim,), dtype=np.int64)
+        for axis in range(dim):
+            for c, chunk in enumerate(chunks):
+                out[..., axis] |= table[axis][chunk] << (c * _CHUNK_BITS)
         return out
 
     def encode(self, level: int, idx: np.ndarray) -> np.ndarray:
-        """Flat cell ids from per-axis indices (inverse of :meth:`decode`)."""
-        grid = self.cells_per_axis(level)
+        """Cell ids of per-axis indices (interleave; inverse of :meth:`decode`)."""
+        self._check_level(level)
         idx = np.asarray(idx, dtype=np.int64)
-        flat = np.zeros(idx.shape[:-1], dtype=np.int64)
-        for axis in range(self.dim - 1, -1, -1):
-            flat = flat * grid + idx[..., axis]
-        return flat
+        dim = self.dim
+        ids = np.zeros(idx.shape[:-1], dtype=np.int64)
+        for bit in range(level):
+            for axis in range(dim):
+                ids |= ((idx[..., axis] >> bit) & 1) << (bit * dim + axis)
+        return ids
 
-    def children_of(self, level: int, flat: np.ndarray) -> np.ndarray:
-        """Flat ids ``(n, 2**d)`` of each cell's children one level down.
+    def offset_ids(
+        self, level: int, ids_a: np.ndarray, ids_b: np.ndarray
+    ) -> np.ndarray:
+        """Cell ids of the per-axis index offsets ``|i_a - i_b|`` of pairs.
+
+        Each axis keeps its own bits of a Morton id, and the masked
+        difference of two ids is the masked id of the difference
+        (dilated-integer arithmetic), so nothing is de-interleaved.
+        """
+        out = np.zeros(np.shape(ids_a), dtype=np.int64)
+        for mask in _axis_masks(self.dim, level):
+            out |= np.abs((ids_a & mask) - (ids_b & mask)) & mask
+        return out
+
+    def children_of(self, level: int, ids: np.ndarray) -> np.ndarray:
+        """Ids ``(n, 2**d)`` of each cell's children one level down.
 
         This is the refinement step of ``RESOLVETWOCELLS`` (Fig. 2 lines
         13–16): a non-resolvable cell is replaced by its 4/8 partitions
@@ -176,10 +245,8 @@ class GridPyramid:
         """
         if level + 1 >= self._height:
             raise TreeError(f"level {level} has no children")
-        idx = self.decode(level, flat)  # (n, d)
-        offsets = self._child_offsets  # (2**d, d)
-        child_idx = idx[:, None, :] * 2 + offsets[None, :, :]
-        return self.encode(level + 1, child_idx)
+        ids = np.asarray(ids, dtype=np.int64)
+        return (ids[:, None] << self.dim) + np.arange(1 << self.dim)
 
     # -- particle access (leaf level, CSR layout) -----------------------
     def leaf_slice(self, flat: int) -> np.ndarray:
@@ -205,28 +272,24 @@ class GridPyramid:
 
     # -- MBR arrays ------------------------------------------------------
     def mbr_lo(self, level: int) -> np.ndarray:
-        """Per-cell particle-coordinate minima ``(cells, d)`` (MBR mode).
+        """Per-cell particle-coordinate minima ``(cells, d)``.
 
         Empty cells hold ``+inf``; engines must mask them out (they skip
         empty cells anyway).
         """
-        self._require_mbr()
         self._check_level(level)
-        return self._mbr_lo[level]
+        return self._pooled_mbrs()[0][level]
 
     def mbr_hi(self, level: int) -> np.ndarray:
         """Per-cell particle-coordinate maxima (``-inf`` when empty)."""
-        self._require_mbr()
         self._check_level(level)
-        return self._mbr_hi[level]
+        return self._pooled_mbrs()[1][level]
 
     # ------------------------------------------------------------------
     def _build(self) -> None:
         particles = self._particles
         positions = particles.positions
-        dim = particles.dim
-        height = self._height
-        grid = 1 << (height - 1)
+        grid = 1 << (self._height - 1)
 
         lo = np.asarray(particles.box.lo)
         sides = np.asarray(particles.box.sides, dtype=float)
@@ -234,90 +297,39 @@ class GridPyramid:
         # face are clipped into the last cell.
         scaled = (positions - lo) / sides * grid
         cell_idx = np.clip(scaled.astype(np.int64), 0, grid - 1)
-        flat = np.zeros(positions.shape[0], dtype=np.int64)
-        for axis in range(dim - 1, -1, -1):
-            flat = flat * grid + cell_idx[:, axis]
+        ids = self.encode(self.leaf_level, cell_idx)
 
-        num_leaves = grid**dim
-        leaf_counts = np.bincount(flat, minlength=num_leaves)
-        self._order = np.argsort(flat, kind="stable").astype(np.int64)
+        leaf_counts = np.bincount(ids, minlength=grid**particles.dim)
+        self._order = np.argsort(ids, kind="stable").astype(np.int64)
         self._sorted_positions = np.ascontiguousarray(positions[self._order])
-        starts = np.zeros(num_leaves + 1, dtype=np.int64)
+        starts = np.zeros(leaf_counts.size + 1, dtype=np.int64)
         np.cumsum(leaf_counts, out=starts[1:])
         self._leaf_starts = starts
+        self._counts = pool_levels(leaf_counts.astype(np.int64), particles.dim)
 
-        self._counts = self._pool_counts(leaf_counts, grid, dim)
-        self._child_offsets = self._make_child_offsets(dim)
+    def _pooled_mbrs(self) -> "tuple[list[np.ndarray], list[np.ndarray]]":
+        """Per-level MBR minima and maxima, pooled from the leaves once.
 
-        if self._with_mbr:
-            self._build_mbrs(flat, positions, grid, dim)
-
-    @staticmethod
-    def _pool_counts(
-        leaf_counts: np.ndarray, grid: int, dim: int
-    ) -> "list[np.ndarray]":
-        """Count pyramid, finest to coarsest, by 2x sum-pooling per axis."""
-        height = grid.bit_length()  # grid == 2**(height-1)
-        counts: list[np.ndarray] = [None] * height  # type: ignore
-        counts[height - 1] = np.asarray(leaf_counts, dtype=np.int64)
-        current = counts[height - 1].reshape((grid,) * dim, order="F")
-        for level in range(height - 2, -1, -1):
-            pooled = current
-            for axis in range(dim):
-                g = pooled.shape[axis]
-                new_shape = (
-                    pooled.shape[:axis] + (g // 2, 2) + pooled.shape[axis + 1 :]
-                )
-                pooled = pooled.reshape(new_shape).sum(axis=axis + 1)
-            current = pooled
-            counts[level] = np.ascontiguousarray(
-                current.reshape(-1, order="F")
-            ).astype(np.int64)
-        return counts
-
-    @staticmethod
-    def _make_child_offsets(dim: int) -> np.ndarray:
-        """Child-offset table in the same axis order as encode/decode."""
-        offsets = np.zeros((2**dim, dim), dtype=np.int64)
-        for code in range(2**dim):
-            for axis in range(dim):
-                offsets[code, axis] = (code >> axis) & 1
-        return offsets
-
-    def _build_mbrs(
-        self,
-        flat: np.ndarray,
-        positions: np.ndarray,
-        grid: int,
-        dim: int,
-    ) -> None:
-        height = self._height
-        num_leaves = grid**dim
-        lo = np.full((num_leaves, dim), np.inf)
-        hi = np.full((num_leaves, dim), -np.inf)
-        np.minimum.at(lo, flat, positions)
-        np.maximum.at(hi, flat, positions)
-        self._mbr_lo: list[np.ndarray] = [None] * height  # type: ignore
-        self._mbr_hi: list[np.ndarray] = [None] * height  # type: ignore
-        self._mbr_lo[height - 1] = lo
-        self._mbr_hi[height - 1] = hi
-        for level in range(height - 2, -1, -1):
-            child_grid = 1 << (level + 1)
-            parent_grid = 1 << level
-            num_parents = parent_grid**dim
-            child_ids = np.arange(child_grid**dim, dtype=np.int64)
-            child_axes = self.decode(level + 1, child_ids)
-            parent_flat = self.encode(level, child_axes // 2)
-            plo = np.full((num_parents, dim), np.inf)
-            phi = np.full((num_parents, dim), -np.inf)
-            np.minimum.at(plo, parent_flat, self._mbr_lo[level + 1])
-            np.maximum.at(phi, parent_flat, self._mbr_hi[level + 1])
-            self._mbr_lo[level] = plo
-            self._mbr_hi[level] = phi
-
-    def _require_mbr(self) -> None:
-        if not self._with_mbr:
-            raise TreeError("pyramid was built without MBRs")
+        Every leaf cell is a contiguous run of :attr:`sorted_positions`,
+        so one ``reduceat`` over the occupied cells' starts gives the
+        leaf MBRs.  Racing first calls each pool the same arrays and the
+        last assignment wins, so a shared plan needs no lock here.
+        """
+        if self._mbrs is None:
+            counts = self._counts[-1]
+            lo = np.full((counts.size, self.dim), np.inf)
+            hi = np.full((counts.size, self.dim), -np.inf)
+            occupied = np.flatnonzero(counts)
+            if occupied.size:
+                starts = self._leaf_starts[occupied]
+                positions = self._sorted_positions
+                lo[occupied] = np.minimum.reduceat(positions, starts, axis=0)
+                hi[occupied] = np.maximum.reduceat(positions, starts, axis=0)
+            self._mbrs = (
+                pool_levels(lo, self.dim, np.minimum),
+                pool_levels(hi, self.dim, np.maximum),
+            )
+        return self._mbrs
 
     def _check_level(self, level: int) -> None:
         if not 0 <= level < self._height:
@@ -328,5 +340,5 @@ class GridPyramid:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"GridPyramid(N={self._particles.size}, d={self.dim}, "
-            f"H={self._height}, mbr={self._with_mbr})"
+            f"H={self._height})"
         )

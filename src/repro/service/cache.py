@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..core.query import SDHQuery, build_plan
-from ..core.request import SDHRequest
 from ..data.particles import ParticleSet
 from ..errors import ServiceError
 
@@ -134,21 +133,15 @@ class PlanCache:
             return list(self._plans)
 
     # ------------------------------------------------------------------
-    def get_or_build(
-        self, particles: ParticleSet, request: SDHRequest | None = None
-    ) -> SDHQuery:
+    def get_or_build(self, particles: ParticleSet) -> SDHQuery:
         """The plan for ``particles``, building it on first sight.
 
         Keyed by content fingerprint: re-registering byte-identical data
-        under a different name still hits the same plan.  Requests whose
-        :meth:`SDHRequest.plan_key` is non-empty (e.g. MBR resolution)
-        get their own variant key ``"<fingerprint>:<plan_key>"`` so a
-        plain plan and an MBR-augmented plan can coexist.
+        under a different name still hits the same plan.  One plan
+        answers every request on its dataset (MBRs are pooled on first
+        use), so there is one key per dataset.
         """
         key = particles.fingerprint()
-        variant = request.plan_key() if request is not None else ""
-        if variant:
-            key = f"{key}:{variant}"
         plan = self._lookup(key)
         if plan is not None:
             return plan
@@ -164,10 +157,7 @@ class PlanCache:
                 plan = self._lookup(key, count=False)
                 if plan is not None:
                     return plan
-                if variant:
-                    built = self._builder(particles, request=request)
-                else:
-                    built = self._builder(particles)
+                built = self._builder(particles)
                 self._insert(key, built)
                 return built
         finally:

@@ -17,12 +17,12 @@ answered a millisecond ago.  At high QPS two things dominate:
 Keys are content-addressed: the dataset part is the
 :meth:`~repro.data.particles.ParticleSet.fingerprint` content hash and
 the request part is the sorted canonical JSON of
-:meth:`SDHRequest.to_dict` plus :meth:`SDHRequest.plan_key`, so a cached
-value can never be *wrong* for its key — TTL and invalidation (dataset
-re-registration, plan eviction) exist to bound memory and staleness
-policy, not correctness.  Requests whose outcome is not a pure function
-of the key — approximate (sampled) queries without an explicit ``rng``
-seed — are never cached or coalesced (:func:`result_cache_key` returns
+:meth:`SDHRequest.to_dict`, so a cached value can never be *wrong* for
+its key — TTL and invalidation (dataset re-registration, plan
+eviction) exist to bound memory and staleness policy, not correctness.
+Requests whose outcome is not a pure function of the key — approximate
+(sampled) queries without an explicit ``rng`` seed — are never cached
+or coalesced (:func:`result_cache_key` returns
 ``None`` and the server bypasses this layer).
 """
 
@@ -47,9 +47,9 @@ def result_cache_key(
     """The result-cache key for one request, or ``None`` if uncacheable.
 
     The key is ``(dataset fingerprint, detail)`` where the detail folds
-    in the endpoint kind (``"sdh"`` / ``"rdf"``), the plan-cache variant
-    (:meth:`SDHRequest.plan_key`), and the canonical sorted-JSON form of
-    the normalized request — so any two wire bodies that normalize to
+    in the endpoint kind (``"sdh"`` / ``"rdf"``) and the canonical
+    sorted-JSON form of the normalized request — so any two wire bodies
+    that normalize to
     the same query share one entry, across ``/v1/sdh`` and items of
     ``/v1/sdh/batch`` alike.  Cross-set queries pass a compound
     ``fingerprint`` of the form ``"<fp_a>+<fp_b>"`` (both content
@@ -70,7 +70,7 @@ def result_cache_key(
         )
     except (ReproError, TypeError, ValueError):
         return None
-    detail = f"{kind}:{request.plan_key()}:{payload}"
+    detail = f"{kind}:{payload}"
     if request.approximate:
         detail += f":rng={rng!r}"
     return (fingerprint, detail)

@@ -171,9 +171,7 @@ class _ServiceState:
         # while a rebuild would be needed misrepresents server state.
         self.cache = PlanCache(
             capacity=self.config.cache_capacity,
-            on_evict=lambda key: self.results.invalidate_dataset(
-                key.split(":", 1)[0]
-            ),
+            on_evict=self.results.invalidate_dataset,
         )
         self.executor = QueryExecutor(
             max_workers=self.config.max_workers,
@@ -714,7 +712,7 @@ def _compute_sdh_body(
         if b is not None:
             hist = compute_sdh(particles, routed, b=b, stats=stats, rng=rng)
             return hist, stats
-        plan = state.cache.get_or_build(particles, routed)
+        plan = state.cache.get_or_build(particles)
         hist = plan.run(routed, stats=stats, rng=rng)
         return hist, stats
 
@@ -827,7 +825,7 @@ def _handle_batch(state: _ServiceState, body: dict) -> dict:
                 state.results.count_bypass()
             stats = SDHStats()
             try:
-                plan = state.cache.get_or_build(particles, request)
+                plan = state.cache.get_or_build(particles)
                 hist = plan.run(request, stats=stats, rng=rng)
             except ReproError as exc:
                 results.append(_error_entry(exc))
@@ -887,7 +885,7 @@ def _handle_rdf(state: _ServiceState, body: dict) -> dict:
 
     def compute() -> dict:
         def run() -> tuple[Any, SDHStats]:
-            plan = state.cache.get_or_build(particles, request)
+            plan = state.cache.get_or_build(particles)
             stats = SDHStats()
             hist = plan.run(request, stats=stats)
             return rdf_from_histogram(hist, particles, finite_size), stats

@@ -6,7 +6,9 @@ no random reading is needed)".  :class:`CellPageLayout` realizes that
 layout over a :class:`~repro.quadtree.grid.GridPyramid`: the particle
 rows, already sorted by leaf cell (the pyramid's CSR order), are packed
 into consecutive pages, and every leaf cell knows the contiguous page
-run holding its particles.
+run holding its particles.  The pyramid numbers cells in Morton order,
+so that leaf order is the quadtree's depth-first leaf order and every
+coarser cell's particles are one contiguous page run as well.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ def test_cache_and_executor_under_verify_load():
                 request = SDHRequest(num_buckets=4 + round_no % 5)
 
                 def query(data=data, request=request):
-                    plan = cache.get_or_build(data, request)
+                    plan = cache.get_or_build(data)
                     return plan.run(request)
 
                 histogram = executor.submit(query, timeout=60)

@@ -34,7 +34,7 @@ def _check_all(data, num_buckets, use_mbr=False):
     reference = brute_force_sdh(data, spec=spec)
     assert reference.total == data.num_pairs
 
-    pyramid = GridPyramid(data, with_mbr=use_mbr)
+    pyramid = GridPyramid(data)
     grid_hist = dm_sdh_grid(pyramid, spec=spec, use_mbr=use_mbr)
     np.testing.assert_array_equal(reference.counts, grid_hist.counts)
 

@@ -1,5 +1,8 @@
 """Tests for repro.core.dm_sdh_grid internals and edge cases."""
 
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -12,8 +15,8 @@ from repro.core import (
     dm_sdh_grid,
     make_allocator,
 )
-from repro.core.dm_sdh_grid import _expand_products
-from repro.data import uniform
+from repro.data import uniform, zipf_clustered
+from repro.kernels import expand_products
 from repro.errors import DistanceOverflowError, QueryError
 from repro.quadtree import GridPyramid
 
@@ -24,7 +27,7 @@ class TestExpandProducts:
     @staticmethod
     def _collect(*args, **kwargs):
         pairs = []
-        for g1, g2 in _expand_products(*args, **kwargs):
+        for g1, g2 in expand_products(*args, **kwargs):
             pairs.extend(zip(g1.tolist(), g2.tolist()))
         return pairs
 
@@ -68,6 +71,46 @@ class TestExpandProducts:
     def test_empty(self):
         empty = np.array([], dtype=np.int64)
         assert self._collect(empty, empty, empty, empty, chunk=10) == []
+
+
+class TestExpand:
+    """Child-pair expansion against a nested loop over child geometry."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_nested_loops(self, dim):
+        pyramid = GridPyramid(zipf_clustered(300, dim=dim, rng=11), height=4)
+        engine = GridSDHEngine(pyramid, bucket_width=0.1, pair_chunk=256)
+        level = 2
+        child_counts = pyramid.counts(level + 1)
+        rng = np.random.default_rng(dim)
+        cells = pyramid.counts(level).size
+        carry = [
+            (rng.integers(0, cells, n), rng.integers(0, cells, n))
+            for n in (3, 50, 400)
+        ]
+        got = Counter()
+        for a, b in engine._expand(carry, child_level=level + 1):
+            got.update(zip(a.tolist(), b.tolist()))
+
+        def live_children(cell):
+            corner = 2 * pyramid.decode(level, [cell])[0]
+            kids = [
+                int(pyramid.encode(level + 1, corner + np.array(shift)))
+                for shift in itertools.product((0, 1), repeat=dim)
+            ]
+            return [k for k in kids if child_counts[k] > 0]
+
+        expected = Counter()
+        for cells_a, cells_b in carry:
+            for pa, pb in zip(cells_a.tolist(), cells_b.tolist()):
+                for ka in live_children(pa):
+                    for kb in live_children(pb):
+                        expected[(ka, kb)] += 1
+        # Parents with some empty children are exercised.
+        assert any(
+            0 < len(live_children(c)) < 2**dim for c in range(cells)
+        )
+        assert got == expected
 
 
 class TestChunkInvariance:

@@ -42,9 +42,8 @@ class TestCounts:
     def test_matches_node_tree(self):
         """The pyramid and the linked tree are the same density maps.
 
-        The tree stores cells in Z-order, the pyramid row-major, so the
-        comparison matches multisets per level and exact values through
-        coordinates.
+        Each tree node is located in the pyramid through its
+        coordinates (``encode`` of its per-axis cell index).
         """
         tree = DensityMapTree(self.data, height=self.pyramid.height)
         for level in range(self.pyramid.height):
@@ -58,6 +57,54 @@ class TestCounts:
                 ).astype(np.int64)
                 flat = self.pyramid.encode(level, idx[None, :])[0]
                 assert grid_counts[flat] == node.p_count
+
+
+class TestMortonLayout:
+    """Cell ids are Morton codes: the node tree's child order."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_cells_are_leaf_slices_at_every_level(self, dim):
+        pyramid = GridPyramid(zipf_clustered(600, dim=dim, rng=5))
+        starts = pyramid.leaf_starts
+        for level in range(pyramid.height):
+            shift = dim * (pyramid.leaf_level - level)
+            cells = np.arange(pyramid.counts(level).size)
+            sizes = starts[(cells + 1) << shift] - starts[cells << shift]
+            np.testing.assert_array_equal(pyramid.counts(level), sizes)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_children_are_consecutive_ids(self, dim):
+        pyramid = GridPyramid(uniform(200, dim=dim, rng=6), height=4)
+        for level in range(pyramid.height - 1):
+            cells = np.arange(pyramid.counts(level).size)
+            np.testing.assert_array_equal(
+                pyramid.children_of(level, cells),
+                2**dim * cells[:, None] + np.arange(2**dim),
+            )
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_offset_ids_match_decoded_offsets(self, dim, rng):
+        pyramid = GridPyramid(uniform(100, dim=dim, rng=8), height=7)
+        for level in range(pyramid.height):
+            a, b = rng.integers(0, pyramid.counts(level).size, (2, 500))
+            np.testing.assert_array_equal(
+                pyramid.encode(level, pyramid.decode(level, a)), a
+            )
+            offsets = np.abs(pyramid.decode(level, a) - pyramid.decode(level, b))
+            np.testing.assert_array_equal(
+                pyramid.offset_ids(level, a, b), pyramid.encode(level, offsets)
+            )
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_tree_order_is_pyramid_order(self, dim):
+        data = zipf_clustered(700, dim=dim, rng=7)
+        pyramid = GridPyramid(data)
+        tree = DensityMapTree(data, height=pyramid.height)
+        for level in range(pyramid.height):
+            np.testing.assert_array_equal(
+                pyramid.counts(level),
+                [node.p_count for node in tree.density_map(level).cells],
+            )
 
 
 class TestEncodeDecode:
@@ -122,14 +169,21 @@ class TestCSRLayout:
 
 
 class TestMBRArrays:
-    def test_requires_flag(self):
-        pyramid = GridPyramid(uniform(50, rng=1))
-        with pytest.raises(TreeError):
-            pyramid.mbr_lo(0)
+    def test_built_lazily_on_first_use(self):
+        data = uniform(200, dim=3, rng=1)
+        pyramid = GridPyramid(data)
+        assert pyramid._mbrs is None
+        lo = pyramid.mbr_lo(1)
+        assert pyramid.mbr_hi(1) is pyramid.mbr_hi(1)
+        for cell in np.flatnonzero(pyramid.counts(1)):
+            start, stop = pyramid.leaf_starts[[cell << 3, (cell + 1) << 3]]
+            np.testing.assert_array_equal(
+                lo[cell], pyramid.sorted_positions[start:stop].min(axis=0)
+            )
 
     def test_mbrs_bound_particles(self):
         data = uniform(300, dim=2, rng=12)
-        pyramid = GridPyramid(data, with_mbr=True)
+        pyramid = GridPyramid(data)
         leaf = pyramid.leaf_level
         lo = pyramid.mbr_lo(leaf)
         hi = pyramid.mbr_hi(leaf)
@@ -140,7 +194,7 @@ class TestMBRArrays:
 
     def test_root_mbr_is_global(self):
         data = uniform(300, dim=2, rng=12)
-        pyramid = GridPyramid(data, with_mbr=True)
+        pyramid = GridPyramid(data)
         np.testing.assert_allclose(
             pyramid.mbr_lo(0)[0], data.positions.min(axis=0)
         )
@@ -150,7 +204,7 @@ class TestMBRArrays:
 
     def test_empty_cells_are_infinite(self):
         data = zipf_clustered(100, dim=2, rng=3)
-        pyramid = GridPyramid(data, with_mbr=True)
+        pyramid = GridPyramid(data)
         leaf = pyramid.leaf_level
         counts = pyramid.counts(leaf)
         empty = np.flatnonzero(counts == 0)

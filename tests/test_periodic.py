@@ -148,7 +148,7 @@ class TestPeriodicEngines:
 
     def test_mbr_rejected(self):
         data = uniform(100, dim=2, rng=174)
-        pyramid = GridPyramid(data, with_mbr=True)
+        pyramid = GridPyramid(data)
         spec = UniformBuckets.with_count(data.max_periodic_distance, 4)
         with pytest.raises(QueryError):
             dm_sdh_grid(pyramid, spec=spec, use_mbr=True, periodic=True)

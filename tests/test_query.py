@@ -196,7 +196,7 @@ class TestSDHQueryPlan:
 
     def test_mbr_plan(self, data, reference):
         spec, ref = reference
-        plan = SDHQuery(data, use_mbr=True)
+        plan = SDHQuery(data)
         h = plan.run(SDHRequest(spec=spec, use_mbr=True))
         np.testing.assert_array_equal(ref.counts, h.counts)
 
@@ -225,10 +225,10 @@ _PATH_CASES = [
 
 
 def _both_paths(data, request, rng=None):
-    """The same request one-shot and through a plan built for it."""
+    """The same request one-shot and through a prebuilt plan."""
     one_shot, planned = SDHStats(), SDHStats()
     hist = compute_sdh(data, request, stats=one_shot, rng=rng)
-    plan_hist = build_plan(data, request=request).run(
+    plan_hist = build_plan(data).run(
         request, stats=planned, rng=rng
     )
     return (hist, one_shot), (plan_hist, planned)
@@ -261,6 +261,22 @@ class TestOnePath:
         np.testing.assert_array_equal(hist.counts, plan_hist.counts)
         assert stats == plan_stats
         assert stats.approximated_pairs > 0
+
+    @pytest.mark.parametrize(
+        "engine, levels",
+        [("grid", None), ("grid", 2), ("tree", None)],
+        ids=["grid", "adm", "tree"],
+    )
+    def test_mbr_request_on_a_plain_plan(self, data, engine, levels):
+        """One plan serves MBR requests: there is no MBR plan variant."""
+        request = SDHRequest(
+            num_buckets=8, engine=engine, use_mbr=True, levels=levels
+        )
+        one_shot, planned = SDHStats(), SDHStats()
+        hist = compute_sdh(data, request, stats=one_shot, rng=7)
+        plan_hist = SDHQuery(data).run(request, stats=planned, rng=7)
+        np.testing.assert_array_equal(hist.counts, plan_hist.counts)
+        assert one_shot == planned
 
     def test_registered_engine_runs_on_both_paths(self, data):
         calls = []

@@ -31,24 +31,23 @@ class CountingBuilder:
 
 
 class TestRequestVariants:
+    """Every request on a dataset runs on its one plan."""
+
     def test_plain_requests_share_the_bare_key(self, datasets):
         cache = PlanCache(capacity=4)
-        request = SDHRequest(num_buckets=8).normalize()
         plan = cache.get_or_build(datasets[0])
-        same = cache.get_or_build(datasets[0], request)
-        assert same is plan
+        plan.run(SDHRequest(num_buckets=8))
+        assert cache.get_or_build(datasets[0]) is plan
         assert cache.keys() == [datasets[0].fingerprint()]
 
-    def test_mbr_request_gets_its_own_variant(self, datasets):
+    def test_mbr_request_runs_on_the_plain_plan(self, datasets):
         cache = PlanCache(capacity=4)
-        fingerprint = datasets[0].fingerprint()
-        plain = cache.get_or_build(datasets[0])
-        mbr_request = SDHRequest(num_buckets=8, use_mbr=True).normalize()
-        mbr = cache.get_or_build(datasets[0], mbr_request)
-        assert mbr is not plain
-        assert set(cache.keys()) == {fingerprint, f"{fingerprint}:mbr"}
-        assert cache.get_or_build(datasets[0], mbr_request) is mbr
-        assert cache.stats.builds == 2
+        plan = cache.get_or_build(datasets[0])
+        plain = plan.run(SDHRequest(num_buckets=8))
+        mbr = plan.run(SDHRequest(num_buckets=8, use_mbr=True))
+        assert (mbr.counts == plain.counts).all()
+        assert cache.keys() == [datasets[0].fingerprint()]
+        assert cache.stats.builds == 1
 
 
 class TestBasics:

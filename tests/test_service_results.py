@@ -292,7 +292,7 @@ class TestServerIntegration:
             original = state.cache.get_or_build
             computes = []
 
-            def gated_get_or_build(particles, request=None):
+            def gated_get_or_build(particles):
                 computes.append(1)
                 # Hold the one computation until all followers have
                 # joined the in-flight entry, so the coalesce count is
@@ -304,7 +304,7 @@ class TestServerIntegration:
                     if flights and flights[0].followers == n - 1:
                         break
                     time.sleep(0.005)
-                return original(particles, request)
+                return original(particles)
 
             state.cache.get_or_build = gated_get_or_build
             client = SDHClient(service.url)
