@@ -7,8 +7,8 @@ resolve millions of pairs per call — the pure-Python recursion is the
 bottleneck the paper's C implementation never had, and this module is
 the honest Python answer to it.
 
-Two engine-level optimizations exploit the grid structure (results are
-bit-identical to the naive formulation, which the test suite checks):
+Three engine-level optimizations exploit the grid structure (results
+are bit-identical to the naive formulation, which the test suite checks):
 
 * **offset-class tables** — on a given level, the min/max distance
   bounds of a cell pair depend only on the per-axis index offset, so
@@ -20,7 +20,11 @@ bit-identical to the naive formulation, which the test suite checks):
 * **Morton-code expansion** — pyramid cells are Morton-ordered, so the
   children of cell ``c`` are ``2^d * c + k``: a batch of unresolved
   pairs is refined by one broadcast per side, a liveness lookup and
-  ``np.flatnonzero`` over the (parent, child_a, child_b) mask.
+  ``np.flatnonzero`` over the (parent, child_a, child_b) mask;
+* **dense leaf tiles** — every leaf cell is one slice of the sorted
+  positions, so the open leaf pairs of a cell are binned as dense
+  cell x block tiles by the kernel backend's dense cross kernel
+  instead of as gathered particle index pairs.
 
 The same engine runs the approximate ADM-SDH of Sec. V: a ``stop``
 parameter bounds how many density maps are visited, and the pairs still
@@ -38,7 +42,8 @@ import numpy as np
 
 from ..data.particles import ParticleSet
 from ..errors import DistanceOverflowError, QueryError
-from ..geometry import box_pair_bounds
+from ..geometry import box_pair_bounds, iter_cross_distance_chunks
+from ..geometry.distance import PANEL_ROWS
 from ..kernels import exact, expand_products, fast_uniform_width, get_backend
 from ..quadtree.grid import GridPyramid, pool_levels
 from .buckets import BucketSpec, OverflowPolicy, UniformBuckets
@@ -50,9 +55,13 @@ from .weighted import WeightedAccumulator
 __all__ = ["GridSDHEngine", "dm_sdh_grid"]
 
 #: Default ceiling on the number of cell pairs processed per batch.
-DEFAULT_PAIR_CHUNK = 1 << 21
-#: Default ceiling on particle-pair distances materialized per batch.
+DEFAULT_PAIR_CHUNK = 1 << 19
+#: Default ceiling on particle-pair distances materialized per batch
+#: of intra-cell leaf pairs.
 DEFAULT_DISTANCE_CHUNK = 1 << 22
+#: Most distances in one dense leaf tile, and most B-row indices
+#: expanded at once.
+_TILE = PANEL_ROWS * PANEL_ROWS
 
 # Offset-class statuses.
 _RESOLVED = 0
@@ -278,11 +287,34 @@ class GridSDHEngine:
             last_level = min(leaf, start + self.stop_after_levels)
         self.stats.levels_visited = last_level - start + 1
 
+        if start == leaf and self._sweeps_leaf_start():
+            # Starting on the leaf map leaves no level to refine into:
+            # the descent would classify every leaf-cell pair only to
+            # compute nearly all distances.  One dense self sweep bins
+            # them at brute force's per-distance cost instead.
+            self.sweep_panels()
+            return self.histogram
         self._intra_cell(start)
         self._drain(start, self._start_pairs(start), last_level)
         if self._accum is not None:
             self._accum.finalize_into(self.histogram)
         return self.histogram
+
+    def _sweeps_leaf_start(self) -> bool:
+        """Whether a leaf-level start may skip the descent for one sweep.
+
+        Only plain exact fast-binning runs do.  Approximate, weighted,
+        cross-set, custom-bucket and MBR runs, and runs whose leaf pairs
+        are observed through :attr:`on_leaf_pairs`, keep the descent.
+        """
+        return (
+            self._fast_bin_width is not None
+            and not self.approximate
+            and not self.weighted
+            and self.cross_split is None
+            and not self.use_mbr
+            and self.on_leaf_pairs is None
+        )
 
     def _drain(
         self,
@@ -325,6 +357,33 @@ class GridSDHEngine:
         """
         last_level = self.pyramid.leaf_level
         self._drain(level, iter([(cells_a, cells_b)]), last_level)
+
+    def sweep_panels(self, first: int = 0, step: int = 1) -> None:
+        """Dense self sweep over panels ``first, first + step, ...``.
+
+        Panel ``p`` is ``PANEL_ROWS`` consecutive sorted particles; its
+        distances to itself and to every later particle are binned, so
+        all panels together bin every distance once.  :meth:`run` sweeps
+        all of them when the start map is the leaf map; the parallel
+        engine strides them over its workers.
+        """
+        positions = self.pyramid.sorted_positions
+        width = self._fast_bin_width
+        nbins = self.spec.num_buckets
+        backend = self._kernel_backend
+        for begin in range(
+            first * PANEL_ROWS, positions.shape[0], step * PANEL_ROWS
+        ):
+            panel = positions[begin : begin + PANEL_ROWS]
+            rest = positions[begin + PANEL_ROWS :]
+            for hist, computed in (
+                backend.bin_dense_self(panel, width, nbins, self._box_lengths),
+                backend.bin_dense_cross(
+                    panel, rest, width, nbins, self._box_lengths
+                ),
+            ):
+                self.stats.distance_computations += computed
+                self.histogram.counts += hist
 
     def process_intra_cells(self, cells: np.ndarray) -> None:
         """Compute intra-cell leaf distances for the given cells only.
@@ -820,22 +879,121 @@ class GridSDHEngine:
     # Stage 3: leaf distances (Fig. 2 lines 7-11)
     # ------------------------------------------------------------------
     def _leaf_distances(self, a_ids: np.ndarray, b_ids: np.ndarray) -> None:
+        """Compute the distances of open leaf-cell pairs as dense tiles.
+
+        Every leaf cell is one slice of ``sorted_positions``.  The pairs
+        are grouped by their A cell, so each A cell's open B cells are
+        one span of the batch's concatenated B rows, whose indices are
+        expanded in blocks of at most ``PANEL_ROWS**2``.  Each A-slice x
+        B-span tile of at most ``PANEL_ROWS**2`` distances is binned in
+        one dense call.
+        """
         if self.on_leaf_pairs is not None:
             self.on_leaf_pairs(a_ids, b_ids)
         counts = self.pyramid.counts(self.pyramid.leaf_level)
         starts = self.pyramid.leaf_starts
+        order = np.argsort(a_ids)
+        a_ids = a_ids[order]
+        b_ids = b_ids[order]
+        cuts = np.flatnonzero(a_ids[1:] != a_ids[:-1]) + 1
+        cells = a_ids[np.concatenate(([0], cuts))]
+        # Each A cell's partners own one span of the concatenated B rows.
+        row_ends = np.cumsum(counts[b_ids])[np.append(cuts, a_ids.size) - 1]
+        groups = zip(
+            starts[cells].tolist(),
+            starts[cells + 1].tolist(),
+            np.concatenate(([0], row_ends[:-1])).tolist(),
+            row_ends.tolist(),
+        )
+        a_start, a_stop, lo, hi = next(groups)
+        for begin, b_rows in _concat_rows(starts[b_ids], counts[b_ids], _TILE):
+            stop = begin + b_rows.size
+            while True:
+                for a_lo in range(a_start, a_stop, PANEL_ROWS):
+                    a_rows = slice(a_lo, min(a_lo + PANEL_ROWS, a_stop))
+                    limit = _TILE // (a_rows.stop - a_lo)
+                    for row in range(max(lo, begin), min(hi, stop), limit):
+                        end = min(row + limit, hi)
+                        self._bin_tile(a_rows, b_rows[row - begin : end - begin])
+                if hi > stop:
+                    break  # the span continues in the next block
+                next_group = next(groups, None)
+                if next_group is None:
+                    break
+                a_start, a_stop, lo, hi = next_group
+
+    def _bin_tile(self, a_rows: slice, b_rows: np.ndarray) -> None:
+        """Bin every distance between a slice and a set of sorted particles.
+
+        Cross-set runs bin the two one-sided tiles ``A0 x B1`` and
+        ``A1 x B0`` (side 1 is the second set).
+        """
+        if self._sides_sorted is None:
+            self._bin_dense(a_rows, b_rows)
+            return
+        side_a = self._sides_sorted[a_rows]
+        side_b = self._sides_sorted[b_rows]
+        a_idx = np.arange(a_rows.start, a_rows.stop)
+        self._bin_dense(a_idx[~side_a], b_rows[side_b])
+        self._bin_dense(a_idx[side_a], b_rows[~side_b])
+
+    def _bin_dense(
+        self, a_rows: slice | np.ndarray, b_rows: np.ndarray
+    ) -> None:
+        """Bin the ``len(a_rows) * len(b_rows)`` distances of one tile.
+
+        Fast-binning queries go through the backend's dense cross
+        kernels, which run the gathered kernels' op sequence (subtract,
+        minimum image, ordered einsum, sqrt, truncating divide), so the
+        histogram is bit-identical.  Other buckets bin the same
+        distances through ``_bin_distances`` / the weighted slow path.
+        """
         positions = self.pyramid.sorted_positions
-        c1 = counts[a_ids]
-        c2 = counts[b_ids]
-        for g1, g2 in expand_products(
-            starts[a_ids], c1, starts[b_ids], c2, self.distance_chunk
-        ):
-            if self._sides_sorted is not None:
-                keep = self._sides_sorted[g1] != self._sides_sorted[g2]
-                g1, g2 = g1[keep], g2[keep]
-                if g1.size == 0:
-                    continue
-            self._bin_pairs(positions, g1, g2)
+        pos_a = positions[a_rows]
+        pos_b = positions[b_rows]
+        if len(pos_a) == 0 or len(pos_b) == 0:
+            return
+        # One kernel panel per tile: callers keep tiles within _TILE.
+        chunk = max(len(pos_a), len(pos_b))
+        width = self._fast_bin_width
+        if width is not None and self.weighted:
+            limbs, computed = self._kernel_backend.bin_dense_cross_weighted(
+                pos_a,
+                pos_b,
+                self._w_sorted[a_rows],
+                self._w_sorted[b_rows],
+                width,
+                self.spec.num_buckets,
+                self._box_lengths,
+                chunk,
+            )
+            self.stats.distance_computations += computed
+            self._accum.add_limbs(limbs, computed)
+        elif width is not None:
+            hist, computed = self._kernel_backend.bin_dense_cross(
+                pos_a,
+                pos_b,
+                width,
+                self.spec.num_buckets,
+                self._box_lengths,
+                chunk,
+            )
+            self.stats.distance_computations += computed
+            self.histogram.counts += hist
+        else:
+            (distances,) = iter_cross_distance_chunks(
+                pos_a, pos_b, chunk=chunk, box_lengths=self._box_lengths
+            )
+            if self.weighted:
+                # Distances are row-major over (a, b).
+                self.stats.distance_computations += distances.size
+                self._accum.bin_products(
+                    distances,
+                    np.repeat(self._w_obj_sorted[a_rows], len(pos_b)),
+                    np.tile(self._w_obj_sorted[b_rows], len(pos_a)),
+                )
+            else:
+                self._bin_distances(distances)
 
     # ------------------------------------------------------------------
     def _allocate(
@@ -871,6 +1029,27 @@ class GridSDHEngine:
             if level is not None:
                 return level
         return self.pyramid.leaf_level
+
+
+def _concat_rows(
+    starts: np.ndarray, counts: np.ndarray, limit: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Indices of the slices ``[starts[k], starts[k] + counts[k])``,
+    concatenated in order and yielded in blocks of at most ``limit``,
+    each with the position of its first row in the concatenation."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    # Row r of the concatenation, inside slice k, is shift[k] + r.
+    shift = starts - (ends - counts)
+    for begin in range(0, total, limit):
+        stop = min(begin + limit, total)
+        # Slices overlapping rows [begin, stop) of the concatenation.
+        first = int(np.searchsorted(ends, begin, side="right"))
+        last = int(np.searchsorted(ends, stop, side="left")) + 1
+        own = slice(first, last)
+        lo = np.maximum(ends[own] - counts[own], begin)
+        hi = np.minimum(ends[own], stop)
+        yield begin, np.repeat(shift[own], hi - lo) + np.arange(begin, stop)
 
 
 def _resolve_spec(

@@ -22,13 +22,13 @@ returning ``(int64 histogram, number_of_distances)``:
 ``bin_gathered_pairs(positions, idx_a, idx_b, width, nbins,
 box_lengths=None, chunk=...)``
     Bin the distances of explicitly enumerated index pairs (the grid
-    engine's CSR cell-pair frontier).
+    engine's intra-cell leaf pairs).
 ``bin_dense_self(positions, width, nbins, box_lengths=None, chunk=...)``
     All ``n(n-1)/2`` intra-set distances (brute force, tree leaves).
 ``bin_dense_cross(pos_a, pos_b, width, nbins, box_lengths=None,
 chunk=...)``
     All cross-set distances (type-restricted baselines, tree leaf
-    pairs).
+    pairs, the grid engine's leaf tiles).
 
 Each function also has a ``*_weighted`` variant (taking the per-point
 weights after the coordinates) that returns ``(limb_array,

@@ -4,7 +4,7 @@ The grid engine stores leaf-cell membership as CSR slices into the
 pyramid's sorted position array.  :func:`expand_products` turns a batch
 of cell pairs into flat index arrays enumerating every particle-pair
 combination, in memory-bounded chunks — the enumeration step in front
-of every leaf-resolution kernel.  (Moved here from
+of the gathered leaf kernels (the grid engine's intra-cell leaf pairs).  (Moved here from
 ``core/dm_sdh_grid.py`` so both kernel backends and the engines can
 share it without an import cycle.)
 """

@@ -11,7 +11,9 @@ sum without rounding.  That makes the parallel decomposition exact:
    few coarse levels inline — there are too few pairs up there to be
    worth shipping — until the unresolved frontier is wide enough;
 2. the frontier pairs (and, when the start map is the leaf map, the
-   intra-cell leaf scans) are strided round-robin into tasks;
+   intra-cell leaf scans) are strided round-robin into tasks; a plain
+   query that starts on the leaf map strides the panels of the serial
+   engine's dense self sweep instead;
 3. each worker attaches the shared-memory coordinate arrays once
    (:mod:`repro.parallel.shm`), rebuilds a zero-copy pyramid view, and
    drains its tasks down to the leaf level with the *same* engine code
@@ -47,6 +49,7 @@ from ..core.instrumentation import SDHStats
 from ..data.particles import ParticleSet
 from ..errors import QueryError
 from ..geometry import AABB
+from ..geometry.distance import PANEL_ROWS
 from ..observability import get_logger, get_registry, log_event, trace_span
 from ..quadtree.grid import GridPyramid
 from .shm import SharedArrayBundle, attach
@@ -141,9 +144,15 @@ def parallel_sdh(
     if fanout_pairs is None:
         fanout_pairs = 64 * num_tasks
 
-    tasks = list(_intra_tasks(engine, start, num_tasks))
-    tasks.extend(_frontier_tasks(engine, start, leaf, fanout_pairs,
-                                 num_tasks))
+    if start == leaf and engine._sweeps_leaf_start():
+        # The serial engine's dense self sweep, strided over workers.
+        panels = -(-pyramid.particles.size // PANEL_ROWS)
+        shards = min(num_tasks, panels)
+        tasks = [("sweep", t, shards) for t in range(shards)]
+    else:
+        tasks = list(_intra_tasks(engine, start, num_tasks))
+        tasks.extend(_frontier_tasks(engine, start, leaf, fanout_pairs,
+                                     num_tasks))
     if not tasks:
         return engine.histogram
 
@@ -361,6 +370,8 @@ def _run_task(task: tuple) -> tuple[np.ndarray, SDHStats, float, int]:
         engine.process_intra_cells(task[1])
     elif task[0] == "triangle":
         _run_triangle(engine, task[1], task[2])
+    elif task[0] == "sweep":
+        engine.sweep_panels(task[1], task[2])
     else:
         _, level, cells_a, cells_b = task
         engine.process_pairs(level, cells_a, cells_b)

@@ -1,12 +1,15 @@
 """Tests for repro.core.dm_sdh_grid internals and edge cases."""
 
+import importlib
 import itertools
+import types
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.core import (
+    CustomBuckets,
     GridSDHEngine,
     OverflowPolicy,
     SDHStats,
@@ -15,8 +18,10 @@ from repro.core import (
     dm_sdh_grid,
     make_allocator,
 )
-from repro.data import uniform, zipf_clustered
-from repro.kernels import expand_products
+from repro.core.dm_sdh_grid import _concat_rows
+from repro.data import ParticleSet, uniform, zipf_clustered
+from repro.geometry.distance import PANEL_ROWS
+from repro.kernels import expand_products, numpy_backend
 from repro.errors import DistanceOverflowError, QueryError
 from repro.quadtree import GridPyramid
 
@@ -255,3 +260,296 @@ class TestStats:
             stats.levels_visited
             == pyramid_height - stats.start_level
         )
+
+
+class _GatheredLeaves(GridSDHEngine):
+    """The gathered formulation of the leaf step, as a reference.
+
+    Every open leaf-cell pair is enumerated into explicit particle index
+    pairs and binned through ``_bin_pairs``; a leaf start always runs
+    the descent.
+    """
+
+    def _sweeps_leaf_start(self):
+        return False
+
+    def _leaf_distances(self, a_ids, b_ids):
+        if self.on_leaf_pairs is not None:
+            self.on_leaf_pairs(a_ids, b_ids)
+        counts = self.pyramid.counts(self.pyramid.leaf_level)
+        starts = self.pyramid.leaf_starts
+        for g1, g2 in expand_products(
+            starts[a_ids], counts[a_ids], starts[b_ids], counts[b_ids],
+            self.distance_chunk,
+        ):
+            if self._sides_sorted is not None:
+                keep = self._sides_sorted[g1] != self._sides_sorted[g2]
+                g1, g2 = g1[keep], g2[keep]
+                if g1.size == 0:
+                    continue
+            self._bin_pairs(self.pyramid.sorted_positions, g1, g2)
+
+
+def _recording_backend(calls):
+    """The numpy backend, recording the operand sizes of dense calls."""
+
+    def recorded(name):
+        kernel = getattr(numpy_backend, name)
+
+        def call(pos_a, pos_b, *args, **kwargs):
+            calls.append((name, len(pos_a), len(pos_b)))
+            return kernel(pos_a, pos_b, *args, **kwargs)
+
+        return call
+
+    backend = types.SimpleNamespace(**{
+        name: getattr(numpy_backend, name) for name in numpy_backend.__all__
+    })
+    for name in ("bin_dense_cross", "bin_dense_cross_weighted"):
+        setattr(backend, name, recorded(name))
+    return backend
+
+
+def _clustered(n, dim, rng, crowd=0.0):
+    """Uniform points, with a ``crowd`` fraction packed into one corner."""
+    gen = np.random.default_rng(rng)
+    pos = gen.random((n, dim))
+    packed = int(crowd * n)
+    pos[:packed] *= 0.1
+    weights = gen.integers(1, 50, n) / 8.0
+    return pos, weights
+
+
+def _leaf_engines(data, spec, cls=GridSDHEngine, **kwargs):
+    """Histogram and stats of one run (or the raised error type)."""
+    stats = SDHStats()
+    engine = cls(GridPyramid(data), spec=spec, stats=stats, **kwargs)
+    try:
+        counts = engine.run().counts.copy()
+    except DistanceOverflowError:
+        return DistanceOverflowError, None
+    # The descent ran, so open leaf pairs reached the leaf step.
+    assert stats.resolve_calls
+    return counts, stats.distance_computations
+
+
+class TestDenseLeafTiles:
+    """The dense leaf tiles reproduce the gathered leaf step bit for bit."""
+
+    def _same(self, data, spec, **kwargs):
+        got = _leaf_engines(data, spec, **kwargs)
+        want = _leaf_engines(data, spec, cls=_GatheredLeaves, **kwargs)
+        if want[0] is DistanceOverflowError:
+            assert got[0] is DistanceOverflowError
+            return
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1] > 0
+
+    @pytest.mark.parametrize("dim,num", [(2, 3), (2, 16), (3, 2), (3, 4)])
+    def test_plain(self, dim, num):
+        pos, _ = _clustered(1500, dim, rng=dim * 10 + num, crowd=0.2)
+        data = ParticleSet(pos)
+        spec = UniformBuckets.with_count(data.max_possible_distance, num)
+        self._same(data, spec)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_weighted(self, dim):
+        pos, weights = _clustered(1200, dim, rng=dim + 70, crowd=0.2)
+        data = ParticleSet(pos, weights=weights)
+        spec = UniformBuckets.with_count(data.max_possible_distance, 5)
+        self._same(data, spec)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_cross_split(self, dim, weighted):
+        # Side A fills the lower half of axis 0 and side B the upper
+        # half except for a mixed strip, so many leaf cells hold only
+        # one side and the rest hold both.
+        pos, weights = _clustered(1400, dim, rng=dim + 80)
+        split = 700
+        pos[:split, 0] *= 0.55
+        pos[split:, 0] = 0.45 + 0.55 * pos[split:, 0]
+        data = ParticleSet(
+            pos, weights=weights if weighted else None
+        )
+        spec = UniformBuckets.with_count(data.max_possible_distance, 5)
+        pyramid = GridPyramid(data)
+        sides = pyramid.order >= split
+        leaf = pyramid.leaf_level
+        cells = np.repeat(
+            np.arange(pyramid.counts(leaf).size), pyramid.counts(leaf)
+        )
+        side_b = np.bincount(cells, weights=sides, minlength=cells.max() + 1)
+        total = np.bincount(cells, minlength=cells.max() + 1)
+        assert ((side_b == 0) & (total > 0)).any()
+        assert ((side_b == total) & (total > 0)).any()
+        assert ((side_b > 0) & (side_b < total)).any()
+        self._same(data, spec, cross_split=split)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_periodic(self, dim):
+        pos, _ = _clustered(1500, dim, rng=dim + 90, crowd=0.1)
+        data = ParticleSet(pos)
+        spec = UniformBuckets.with_count(
+            data.max_periodic_distance, 6 if dim == 2 else 2
+        )
+        self._same(data, spec, periodic=True)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("policy", list(OverflowPolicy))
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_custom_buckets(self, dim, policy, weighted):
+        pos, weights = _clustered(1000, dim, rng=dim + 100, crowd=0.2)
+        data = ParticleSet(pos, weights=weights if weighted else None)
+        diag = data.max_possible_distance
+        # low > 0, uneven edges, and a top edge short of the diagonal,
+        # so leaf distances fall below, inside and above the buckets.
+        spec = CustomBuckets([0.05 * diag, 0.2 * diag, 0.23 * diag, 0.6 * diag])
+        self._same(data, spec, policy=policy)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_custom_buckets_raise_inside_range(self, dim):
+        pos, _ = _clustered(800, dim, rng=dim + 110)
+        data = ParticleSet(pos)
+        diag = data.max_possible_distance
+        spec = CustomBuckets([0.1 * diag, 0.3 * diag, 1.01 * diag])
+        self._same(data, spec, policy=OverflowPolicy.RAISE)
+
+    @pytest.mark.parametrize("cross", [False, True])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_tiles_stay_within_panel_bound(self, cross, weighted):
+        # One corner leaf cell holds more than PANEL_ROWS particles, so
+        # A slices split and B blocks span several cells.
+        pos, weights = _clustered(2400, 2, rng=120, crowd=0.4)
+        data = ParticleSet(pos, weights=weights if weighted else None)
+        pyramid = GridPyramid(data, height=3)
+        assert pyramid.counts(pyramid.leaf_level).max() > PANEL_ROWS
+        spec = UniformBuckets.with_count(data.max_possible_distance, 2)
+        calls = []
+        kwargs = {"cross_split": 1000} if cross else {}
+        engine = GridSDHEngine(pyramid, spec=spec, **kwargs)
+        engine._kernel_backend = _recording_backend(calls)
+        got = engine.run().counts
+        want = _GatheredLeaves(pyramid, spec=spec, **kwargs).run().counts
+        np.testing.assert_array_equal(got, want)
+        assert calls
+        assert max(a for _, a, _ in calls) == PANEL_ROWS
+        assert all(a * b <= PANEL_ROWS**2 for _, a, b in calls)
+
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_spans_split_across_row_blocks(self, cross, monkeypatch):
+        # A small tile budget cuts the batch's B rows into many blocks,
+        # so A cells' partner spans straddle block edges.
+        grid_module = importlib.import_module("repro.core.dm_sdh_grid")
+        monkeypatch.setattr(grid_module, "_TILE", 600)
+        pos, _ = _clustered(1500, 2, rng=125)
+        data = ParticleSet(pos)
+        pyramid = GridPyramid(data)
+        spec = UniformBuckets.with_count(data.max_possible_distance, 3)
+        calls = []
+        kwargs = {"cross_split": 700} if cross else {}
+        engine = GridSDHEngine(pyramid, spec=spec, **kwargs)
+        engine._kernel_backend = _recording_backend(calls)
+        got = engine.run().counts
+        want = _GatheredLeaves(pyramid, spec=spec, **kwargs).run().counts
+        np.testing.assert_array_equal(got, want)
+        assert len(calls) > 100
+        assert all(a * b <= 600 for _, a, b in calls)
+
+    def test_leaf_observer_sees_the_same_pairs(self):
+        pos, _ = _clustered(1500, 2, rng=130, crowd=0.2)
+        data = ParticleSet(pos)
+        spec = UniformBuckets.with_count(data.max_possible_distance, 16)
+        pyramid = GridPyramid(data)
+        seen = {}
+        for cls in (GridSDHEngine, _GatheredLeaves):
+            engine = cls(pyramid, spec=spec, pair_chunk=5000)
+            calls = seen[cls] = []
+            engine.on_leaf_pairs = lambda a, b, calls=calls: calls.append(
+                (a.copy(), b.copy())
+            )
+            engine.run()
+        assert len(seen[GridSDHEngine]) > 1
+        assert len(seen[GridSDHEngine]) == len(seen[_GatheredLeaves])
+        for (a1, b1), (a2, b2) in zip(
+            seen[GridSDHEngine], seen[_GatheredLeaves]
+        ):
+            np.testing.assert_array_equal(a1, a2)
+            np.testing.assert_array_equal(b1, b2)
+
+    def test_inter_cell_leaf_step_expands_no_products(self, monkeypatch):
+        # repro.core re-exports a function that shadows the module name.
+        grid_module = importlib.import_module("repro.core.dm_sdh_grid")
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return expand_products(*args)
+
+        monkeypatch.setattr(grid_module, "expand_products", counting)
+        data = uniform(1500, dim=2, rng=140)
+        spec = UniformBuckets.with_count(data.max_possible_distance, 16)
+        stats = SDHStats()
+        GridSDHEngine(GridPyramid(data), spec=spec, stats=stats).run()
+        assert stats.distance_computations > 0
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "limit,counts",
+        [(4, [3, 0, 5, 2]), (1, [2, 2]), (7, [20]), (100, [1, 4, 0, 9])],
+    )
+    def test_concat_rows(self, limit, counts):
+        counts = np.array(counts)
+        starts = np.array([40, 3, 11, 70, 90])[: counts.size]
+        blocks = list(_concat_rows(starts, counts, limit))
+        assert all(1 <= block.size <= limit for _, block in blocks)
+        assert [begin for begin, _ in blocks] == list(
+            range(0, counts.sum(), limit)
+        )
+        expected = np.concatenate(
+            [np.arange(s, s + c) for s, c in zip(starts, counts)]
+        )
+        np.testing.assert_array_equal(
+            np.concatenate([block for _, block in blocks]), expected
+        )
+
+
+class TestLeafStartSweep:
+    """A start on the leaf map bins every distance in one dense sweep."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_sweep_matches_descent(self, dim, periodic):
+        data = zipf_clustered(900, dim=dim, rng=150 + dim)
+        reach = (
+            data.max_periodic_distance if periodic
+            else data.max_possible_distance
+        )
+        spec = UniformBuckets.with_count(reach, 256)
+        pyramid = GridPyramid(data)
+        stats = SDHStats()
+        got = GridSDHEngine(
+            pyramid, spec=spec, stats=stats, periodic=periodic
+        ).run()
+        assert stats.start_level == pyramid.leaf_level
+        assert stats.resolve_calls == {}
+        assert stats.distance_computations == data.num_pairs
+        want = _GatheredLeaves(pyramid, spec=spec, periodic=periodic).run()
+        np.testing.assert_array_equal(got.counts, want.counts)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"cross_split": 400}, {"use_mbr": True}, {"weighted": True}],
+    )
+    def test_other_modes_keep_the_descent(self, kwargs):
+        data = zipf_clustered(900, dim=2, rng=160)
+        if kwargs.pop("weighted", False):
+            data = data.with_weights(np.linspace(0.5, 2.0, data.size))
+        spec = UniformBuckets.with_count(data.max_possible_distance, 256)
+        pyramid = GridPyramid(data)
+        stats = SDHStats()
+        got = GridSDHEngine(pyramid, spec=spec, stats=stats, **kwargs).run()
+        assert stats.start_level == pyramid.leaf_level
+        assert stats.resolve_calls
+        want = _GatheredLeaves(pyramid, spec=spec, **kwargs).run()
+        np.testing.assert_array_equal(got.counts, want.counts)
