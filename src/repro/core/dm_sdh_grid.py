@@ -944,9 +944,10 @@ class GridSDHEngine:
 
         Fast-binning queries go through the backend's dense cross
         kernels, which run the gathered kernels' op sequence (subtract,
-        minimum image, ordered einsum, sqrt, truncating divide), so the
-        histogram is bit-identical.  Other buckets bin the same
-        distances through ``_bin_distances`` / the weighted slow path.
+        minimum image, squares summed in axis order, sqrt, truncating
+        divide), so the histogram is bit-identical.  Other buckets bin
+        the same distances through ``_bin_distances`` / the weighted
+        slow path.
         """
         positions = self.pyramid.sorted_positions
         pos_a = positions[a_rows]

@@ -7,9 +7,9 @@ isolates that loop behind a small backend API so it can be swapped for
 a compiled implementation:
 
 * :mod:`repro.kernels.numpy_backend` — the vectorized pure-numpy
-  fallback, always available.  It performs exactly the float operations
-  the engines used inline before this package existed, so results are
-  bit-identical by construction.
+  fallback, always available.  Its dense kernels build each panel axis
+  by axis, the same operations in the same order as the compiled loop,
+  so results are bit-identical by construction.
 * :mod:`repro.kernels.numba_backend` — ``@njit(parallel=True,
   cache=True)`` kernels with cache-aware point-block tiling and
   per-chunk private histograms merged deterministically (integer counts

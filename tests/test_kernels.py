@@ -6,6 +6,9 @@ equality against it.  Engine-integration parity pins ``kernel=`` through
 ``compute_sdh`` and checks the histograms never move.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -30,6 +33,11 @@ from repro.kernels import (
     fast_uniform_width,
     get_backend,
     resolve_kernel,
+)
+from repro.geometry.distance import (
+    PANEL_ROWS,
+    iter_cross_distance_chunks,
+    iter_self_distance_chunks,
 )
 from repro.kernels import exact
 
@@ -198,6 +206,180 @@ class TestNumpyBackend:
             np.zeros((0, 3)), one, 1.0, NBINS
         )
         assert total == 0 and not hist.any()
+
+
+def _binned(chunks, width, nbins):
+    """Reference binning of einsum-path distance chunks (the contract)."""
+    hist = np.zeros(nbins, dtype=np.int64)
+    total = 0
+    for distances in chunks:
+        idx = np.minimum((distances / width).astype(np.int64), nbins - 1)
+        hist += np.bincount(idx, minlength=nbins)
+        total += distances.size
+    return hist, total
+
+
+def _grid_points(dim, side, step=0.25):
+    axes = np.meshgrid(*[np.arange(side) * step] * dim, indexing="ij")
+    return np.stack([axis.ravel() for axis in axes], axis=1)
+
+
+def _panel_case(name, dim):
+    """``(points, box_lengths, width, nbins)`` of one edge case."""
+    rng = np.random.default_rng(dim * 100 + len(name))
+    if name == "bucket_edges":
+        # Lattice distances 0.25 * sqrt(k): every integral sqrt(k) lands
+        # exactly on an edge of the 0.25-wide buckets.
+        return _grid_points(dim, 6 if dim == 2 else 4), None, 0.25, 16
+    if name == "duplicates":
+        # Repeated points give off-diagonal zeros next to the diagonal
+        # ones the self-panel fold subtracts.
+        points = np.repeat(rng.random((40, dim)), 3, axis=0)
+        return rng.permutation(points), None, 0.1, 20
+    if name == "periodic_half_box":
+        # A lattice of step L/4 puts many deltas at +-L/2, where the
+        # minimum-image round() sits on its half-even tie.
+        points = _grid_points(dim, 4, step=0.5)
+        return points, np.full(dim, 2.0), 0.125, 16
+    if name == "clamped":
+        return rng.random((90, dim)) * 3.0, None, 0.1, 5
+    assert name == "one_bucket"
+    return rng.random((70, dim)), None, 0.05, 1
+
+
+PANEL_CASES = (
+    "bucket_edges", "duplicates", "periodic_half_box", "clamped", "one_bucket",
+)
+
+
+class TestAxisMajorPanels:
+    """The axis-major dense kernels against the einsum-path iterators."""
+
+    @pytest.mark.parametrize("dim", (2, 3))
+    @pytest.mark.parametrize("name", PANEL_CASES)
+    @pytest.mark.parametrize("chunk", (1, 7, PANEL_ROWS, 10_000))
+    def test_self_matches_einsum_reference(self, name, dim, chunk):
+        points, box, width, nbins = _panel_case(name, dim)
+        expected = _binned(
+            iter_self_distance_chunks(points, box_lengths=box), width, nbins
+        )
+        hist, total = get_backend("numpy").bin_dense_self(
+            points, width, nbins, box, chunk=chunk
+        )
+        np.testing.assert_array_equal(hist, expected[0])
+        assert total == expected[1]
+
+    @pytest.mark.parametrize("dim", (2, 3))
+    @pytest.mark.parametrize("name", PANEL_CASES)
+    @pytest.mark.parametrize("chunk", (1, 7, PANEL_ROWS, 10_000))
+    def test_cross_matches_einsum_reference(self, name, dim, chunk):
+        points, box, width, nbins = _panel_case(name, dim)
+        a, b = points[::2], points[1::2]
+        expected = _binned(
+            iter_cross_distance_chunks(a, b, box_lengths=box), width, nbins
+        )
+        hist, total = get_backend("numpy").bin_dense_cross(
+            a, b, width, nbins, box, chunk=chunk
+        )
+        np.testing.assert_array_equal(hist, expected[0])
+        assert total == expected[1]
+
+    @pytest.mark.parametrize("dim", (2, 3))
+    @pytest.mark.parametrize("n", (1, 2, PANEL_ROWS - 1, PANEL_ROWS + 1))
+    @pytest.mark.parametrize("periodic", (False, True))
+    def test_panel_edge_sizes(self, n, dim, periodic):
+        rng = np.random.default_rng(n + dim)
+        a, b = rng.random((n, dim)), rng.random((PANEL_ROWS + 3, dim))
+        box = np.ones(dim) if periodic else None
+        width, nbins = 0.02, 64
+        backend = get_backend("numpy")
+        np.testing.assert_array_equal(
+            backend.bin_dense_self(a, width, nbins, box)[0],
+            _binned(iter_self_distance_chunks(a, box_lengths=box), width, nbins)[0],
+        )
+        np.testing.assert_array_equal(
+            backend.bin_dense_cross(a, b, width, nbins, box)[0],
+            _binned(
+                iter_cross_distance_chunks(a, b, box_lengths=box), width, nbins
+            )[0],
+        )
+
+    @pytest.mark.parametrize("dim", (2, 3))
+    @pytest.mark.parametrize("name", PANEL_CASES)
+    def test_weighted_limbs_match_gathered(self, name, dim):
+        # The gathered weighted kernel keeps the einsum op sequence, so
+        # equal limbs mean every pair landed in the same bucket.
+        points, box, width, nbins = _panel_case(name, dim)
+        n = points.shape[0]
+        weights = np.random.default_rng(n).uniform(-2.0, 2.0, n)
+        backend = get_backend("numpy")
+        iu, ju = np.triu_indices(n, k=1)
+        expected, _ = backend.bin_gathered_pairs_weighted(
+            points, weights, iu, ju, width, nbins, box
+        )
+        limbs, total = backend.bin_dense_self_weighted(
+            points, weights, width, nbins, box, chunk=7
+        )
+        np.testing.assert_array_equal(
+            exact.limbs_to_ints(limbs), exact.limbs_to_ints(expected)
+        )
+        assert total == iu.size
+        cut = n // 3
+        ia, ib = np.divmod(np.arange(cut * (n - cut)), n - cut)
+        expected, _ = backend.bin_gathered_pairs_weighted(
+            points, weights, ia, ib + cut, width, nbins, box
+        )
+        limbs, total = backend.bin_dense_cross_weighted(
+            points[:cut], points[cut:], weights[:cut], weights[cut:],
+            width, nbins, box, chunk=7,
+        )
+        np.testing.assert_array_equal(
+            exact.limbs_to_ints(limbs), exact.limbs_to_ints(expected)
+        )
+        assert total == ia.size
+
+    def test_concurrent_calls_keep_their_answers(self):
+        # Panel scratch belongs to one call: threads sweeping at once
+        # (numpy drops the GIL inside each ufunc) must not share it.
+        backend = get_backend("numpy")
+        jobs = [
+            (np.random.default_rng(1).random((PANEL_ROWS + 200, 2)), None),
+            (np.random.default_rng(2).random((PANEL_ROWS + 100, 3)), np.ones(3)),
+        ]
+        expected = [
+            backend.bin_dense_self(points, 0.01, 200, box)[0]
+            for points, box in jobs
+        ]
+        workers = 4  # more threads than this test's usual two cores
+        results = [[] for _ in range(workers)]
+        barrier = threading.Barrier(workers)
+
+        def sweep(slot):
+            points, box = jobs[slot % len(jobs)]
+            barrier.wait()
+            for _ in range(3):
+                results[slot].append(
+                    backend.bin_dense_self(points, 0.01, 200, box)[0]
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=sweep, args=(slot,))
+                for slot in range(workers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for slot, hists in enumerate(results):
+            assert len(hists) == 3
+            for hist in hists:
+                np.testing.assert_array_equal(hist, expected[slot % len(jobs)])
 
 
 @numba_only
