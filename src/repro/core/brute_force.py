@@ -14,8 +14,8 @@ import numpy as np
 
 from ..data.particles import ParticleSet
 from ..geometry import AABB, iter_cross_distance_chunks, iter_self_distance_chunks
-from ..geometry.distance import PANEL_ROWS, minimum_image
-from ..kernels import exact, fast_uniform_width, get_backend
+from ..geometry.distance import PANEL_ROWS
+from ..kernels import fast_uniform_width, get_backend
 from .buckets import BucketSpec, OverflowPolicy, UniformBuckets
 from .histogram import DistanceHistogram
 from .instrumentation import SDHStats
@@ -205,40 +205,29 @@ def _slow_weighted_self(
 ) -> int:
     """Weighted self sweep for kernel-ineligible bucket specs.
 
-    Enumerates the same blocked pair order (and the identical distance
-    op-sequence) as the kernels, but bins through ``spec.bucket_of`` so
+    Bins the distances of ``iter_self_distance_chunks`` (the kernels'
+    op sequence, in its block order) through ``spec.bucket_of``, so
     custom buckets, ``low > 0`` and the overflow policy behave exactly
     like the unweighted ``bin_counts_query`` path.
     """
-    positions = np.asarray(positions, dtype=float)
-    w_ints = exact.weight_ints(weights)
-    n, dim = positions.shape
+    n = positions.shape[0]
+    chunks = iter_self_distance_chunks(positions, chunk, box_lengths)
     computed = 0
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        block = positions[start:stop]
-        m = stop - start
-        if m >= 2:
-            iu, ju = np.triu_indices(m, k=1)
-            delta = block[iu] - block[ju]
-            if box_lengths is not None:
-                delta = minimum_image(delta, box_lengths)
-            distances = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+        if stop - start >= 2:
+            iu, ju = np.triu_indices(stop - start, k=1)
+            distances = next(chunks)
             accum.bin_products(
-                distances, w_ints[start + iu], w_ints[start + ju]
+                distances, weights[start + iu], weights[start + ju]
             )
             computed += distances.size
         for rstart in range(stop, n, chunk):
             rstop = min(rstart + chunk, n)
-            delta = (
-                block[:, None, :] - positions[rstart:rstop][None, :, :]
-            ).reshape(-1, dim)
-            if box_lengths is not None:
-                delta = minimum_image(delta, box_lengths)
-            distances = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+            distances = next(chunks)
             ia = np.repeat(np.arange(start, stop), rstop - rstart)
-            ib = np.tile(np.arange(rstart, rstop), m)
-            accum.bin_products(distances, w_ints[ia], w_ints[ib])
+            ib = np.tile(np.arange(rstart, rstop), stop - start)
+            accum.bin_products(distances, weights[ia], weights[ib])
             computed += distances.size
     return computed
 
@@ -253,25 +242,16 @@ def _slow_weighted_cross(
     chunk: int,
 ) -> int:
     """Weighted cross sweep for kernel-ineligible bucket specs."""
-    pos_a = np.asarray(pos_a, dtype=float)
-    pos_b = np.asarray(pos_b, dtype=float)
-    wa_ints = exact.weight_ints(weights_a)
-    wb_ints = exact.weight_ints(weights_b)
+    chunks = iter_cross_distance_chunks(pos_a, pos_b, chunk, box_lengths)
     computed = 0
     for astart in range(0, pos_a.shape[0], chunk):
         astop = min(astart + chunk, pos_a.shape[0])
-        ablock = pos_a[astart:astop]
         for bstart in range(0, pos_b.shape[0], chunk):
             bstop = min(bstart + chunk, pos_b.shape[0])
-            delta = (
-                ablock[:, None, :] - pos_b[bstart:bstop][None, :, :]
-            ).reshape(-1, pos_a.shape[1])
-            if box_lengths is not None:
-                delta = minimum_image(delta, box_lengths)
-            distances = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+            distances = next(chunks)
             ia = np.repeat(np.arange(astart, astop), bstop - bstart)
             ib = np.tile(np.arange(bstart, bstop), astop - astart)
-            accum.bin_products(distances, wa_ints[ia], wb_ints[ib])
+            accum.bin_products(distances, weights_a[ia], weights_b[ib])
             computed += distances.size
     return computed
 

@@ -166,9 +166,22 @@ class BucketSpec(ABC):
         :meth:`bin_counts`.
         """
         distances = np.asarray(distances, dtype=float)
-        if self.low > 0:
-            distances = distances[distances >= self.low]
-        return self.bin_counts(distances, policy=policy)
+        if self.low == 0:
+            return self.bin_counts(distances, policy=policy)
+        # Slot 0 counts the distances below low, slot num + 1 those above.
+        num = self.num_buckets
+        idx = self.bucket_of(distances)
+        idx += 1
+        counts = np.bincount(idx, minlength=num + 2)
+        above = int(counts[num + 1])
+        if above and policy is OverflowPolicy.RAISE:
+            raise DistanceOverflowError(
+                f"{above} distance(s) outside [{self.low}, {self.high}], "
+                f"e.g. {distances[idx == num + 1][0]!r}"
+            )
+        if policy is OverflowPolicy.CLAMP:
+            counts[num] += above
+        return counts[1 : num + 1].astype(float)
 
     # ------------------------------------------------------------------
     # Cell resolution (the heart of DM-SDH)
@@ -358,6 +371,11 @@ class CustomBuckets(BucketSpec):
         # scalars by ~10x in bisect_right comparisons.
         self._edge_list = arr.tolist()
         self._high_tol = float(arr[-1]) * (1.0 + _EDGE_RTOL)
+        # bucket_of places distances among these edges alone: the last
+        # edge moved just past the tolerance band closes the last bucket
+        # there, and everything beyond lands on num_buckets.
+        self._search_edges = arr.copy()
+        self._search_edges[-1] = np.nextafter(self._high_tol, np.inf)
 
     @property
     def num_buckets(self) -> int:
@@ -369,15 +387,12 @@ class CustomBuckets(BucketSpec):
 
     def bucket_of(self, distances: np.ndarray) -> np.ndarray:
         distances = np.asarray(distances, dtype=float)
-        idx = np.searchsorted(self._edges, distances, side="right") - 1
-        idx = idx.astype(np.int64)
-        high = self.high
-        at_edge = (distances >= high) & (
-            distances <= high * (1.0 + _EDGE_RTOL)
-        )
-        idx[at_edge] = self.num_buckets - 1
-        idx[distances < self._edges[0]] = -1
-        idx[distances > high * (1.0 + _EDGE_RTOL)] = self.num_buckets
+        idx = np.searchsorted(self._search_edges, distances, side="right")
+        idx = idx.astype(np.int64, copy=False)
+        idx -= 1
+        if np.isinf(self._high_tol):
+            # No double lies past an infinite band; keep +inf inside.
+            idx[distances == np.inf] = self.num_buckets - 1
         return idx
 
     def _bucket_index_scalar(self, d: float) -> int:

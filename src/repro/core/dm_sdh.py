@@ -504,7 +504,7 @@ class TreeSDHEngine:
         self, left: np.ndarray, right: np.ndarray
     ) -> None:
         """Bin all cross pairs of two index sets into the accumulator."""
-        assert self._accum is not None and self._w_ints is not None
+        assert self._accum is not None
         positions = self.particles.positions
         weights = self.particles.weights
         if self._fast_bin_width is not None:
@@ -523,13 +523,11 @@ class TreeSDHEngine:
         self.stats.distance_computations += distances.size
         ia = np.repeat(left, right.size)
         ib = np.tile(right, left.size)
-        self._accum.bin_products(
-            distances, self._w_ints[ia], self._w_ints[ib]
-        )
+        self._accum.bin_products(distances, weights[ia], weights[ib])
 
     def _weighted_self_batch(self, idx: np.ndarray) -> None:
         """Bin all intra-set pairs of one index set into the accumulator."""
-        assert self._accum is not None and self._w_ints is not None
+        assert self._accum is not None
         positions = self.particles.positions
         weights = self.particles.weights
         if self._fast_bin_width is not None:
@@ -546,7 +544,7 @@ class TreeSDHEngine:
         self.stats.distance_computations += distances.size
         iu, ju = np.triu_indices(idx.size, k=1)
         self._accum.bin_products(
-            distances, self._w_ints[idx[iu]], self._w_ints[idx[ju]]
+            distances, weights[idx[iu]], weights[idx[ju]]
         )
 
     # ------------------------------------------------------------------

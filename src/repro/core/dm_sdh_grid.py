@@ -24,7 +24,9 @@ are bit-identical to the naive formulation, which the test suite checks):
 * **dense leaf tiles** — every leaf cell is one slice of the sorted
   positions, so the open leaf pairs of a cell are binned as dense
   cell x block tiles by the kernel backend's dense cross kernel
-  instead of as gathered particle index pairs.
+  instead of as gathered particle index pairs; an exact run whose
+  start map is the leaf map has nothing to resolve and bins every
+  pair in one dense self sweep (:meth:`GridSDHEngine.sweep_panels`).
 
 The same engine runs the approximate ADM-SDH of Sec. V: a ``stop``
 parameter bounds how many density maps are visited, and the pairs still
@@ -42,9 +44,15 @@ import numpy as np
 
 from ..data.particles import ParticleSet
 from ..errors import DistanceOverflowError, QueryError
-from ..geometry import box_pair_bounds, iter_cross_distance_chunks
+from ..geometry import (
+    box_pair_bounds,
+    iter_cross_distance_chunks,
+    iter_self_distance_chunks,
+)
 from ..geometry.distance import PANEL_ROWS
-from ..kernels import exact, expand_products, fast_uniform_width, get_backend
+from ..kernels import exact, fast_uniform_width, get_backend
+# Unused here; perfbench/layers.py wraps it by name in this module.
+from ..kernels import expand_products  # noqa: F401
 from ..quadtree.grid import GridPyramid, pool_levels
 from .buckets import BucketSpec, OverflowPolicy, UniformBuckets
 from .heuristics import AllocationContext, Allocator
@@ -56,9 +64,6 @@ __all__ = ["GridSDHEngine", "dm_sdh_grid"]
 
 #: Default ceiling on the number of cell pairs processed per batch.
 DEFAULT_PAIR_CHUNK = 1 << 19
-#: Default ceiling on particle-pair distances materialized per batch
-#: of intra-cell leaf pairs.
-DEFAULT_DISTANCE_CHUNK = 1 << 22
 #: Most distances in one dense leaf tile, and most B-row indices
 #: expanded at once.
 _TILE = PANEL_ROWS * PANEL_ROWS
@@ -159,7 +164,6 @@ class GridSDHEngine:
         allocator: Allocator | None = None,
         rng: np.random.Generator | int | None = None,
         pair_chunk: int = DEFAULT_PAIR_CHUNK,
-        distance_chunk: int = DEFAULT_DISTANCE_CHUNK,
         periodic: bool = False,
         kernel: str = "auto",
         cross_split: int | None = None,
@@ -194,7 +198,6 @@ class GridSDHEngine:
         else:
             self.rng = np.random.default_rng(rng)
         self.pair_chunk = int(pair_chunk)
-        self.distance_chunk = int(distance_chunk)
         self.histogram = DistanceHistogram(self.spec)
         self._tables: dict[int, _LevelTable] = {}
         self._float_counts: dict[int, np.ndarray] = {}
@@ -220,7 +223,8 @@ class GridSDHEngine:
         #: Optional observer called with (a_ids, b_ids) for every batch
         #: of leaf-cell pairs whose distances are computed directly —
         #: the access pattern the storage layer replays to count I/O
-        #: (Sec. IV-B).  Intra-cell leaf scans report pairs (c, c).
+        #: (Sec. IV-B).  A leaf-start sweep first reports the intra-cell
+        #: scans as pairs (c, c), then every pair of occupied cells.
         self.on_leaf_pairs: (
             "callable[[np.ndarray, np.ndarray], None] | None"
         ) = None
@@ -287,34 +291,22 @@ class GridSDHEngine:
             last_level = min(leaf, start + self.stop_after_levels)
         self.stats.levels_visited = last_level - start + 1
 
-        if start == leaf and self._sweeps_leaf_start():
+        if start == leaf and not self.approximate:
             # Starting on the leaf map leaves no level to refine into:
-            # the descent would classify every leaf-cell pair only to
-            # compute nearly all distances.  One dense self sweep bins
-            # them at brute force's per-distance cost instead.
+            # every distance is computed directly, so one dense self
+            # sweep bins them at brute force's per-distance cost.
+            if self.on_leaf_pairs is not None:
+                occupied = np.flatnonzero(self.pyramid.counts(leaf))
+                self.on_leaf_pairs(occupied, occupied)
+                for cells_a, cells_b in self._start_pairs(leaf):
+                    self.on_leaf_pairs(cells_a, cells_b)
             self.sweep_panels()
-            return self.histogram
-        self._intra_cell(start)
-        self._drain(start, self._start_pairs(start), last_level)
+        else:
+            self._intra_cell(start)
+            self._drain(start, self._start_pairs(start), last_level)
         if self._accum is not None:
             self._accum.finalize_into(self.histogram)
         return self.histogram
-
-    def _sweeps_leaf_start(self) -> bool:
-        """Whether a leaf-level start may skip the descent for one sweep.
-
-        Only plain exact fast-binning runs do.  Approximate, weighted,
-        cross-set, custom-bucket and MBR runs, and runs whose leaf pairs
-        are observed through :attr:`on_leaf_pairs`, keep the descent.
-        """
-        return (
-            self._fast_bin_width is not None
-            and not self.approximate
-            and not self.weighted
-            and self.cross_split is None
-            and not self.use_mbr
-            and self.on_leaf_pairs is None
-        )
 
     def _drain(
         self,
@@ -362,37 +354,18 @@ class GridSDHEngine:
         """Dense self sweep over panels ``first, first + step, ...``.
 
         Panel ``p`` is ``PANEL_ROWS`` consecutive sorted particles; its
-        distances to itself and to every later particle are binned, so
-        all panels together bin every distance once.  :meth:`run` sweeps
-        all of them when the start map is the leaf map; the parallel
-        engine strides them over its workers.
+        pairs among themselves and with every later particle are binned,
+        so all panels together bin every pair once.  :meth:`run` sweeps
+        all of them when an exact run starts on the leaf map; the
+        parallel engine strides them over its workers.  Weighted runs
+        leave the exact totals in the accumulator for :meth:`run` to
+        finalize.
         """
-        positions = self.pyramid.sorted_positions
-        width = self._fast_bin_width
-        nbins = self.spec.num_buckets
-        backend = self._kernel_backend
-        for begin in range(
-            first * PANEL_ROWS, positions.shape[0], step * PANEL_ROWS
-        ):
-            panel = positions[begin : begin + PANEL_ROWS]
-            rest = positions[begin + PANEL_ROWS :]
-            for hist, computed in (
-                backend.bin_dense_self(panel, width, nbins, self._box_lengths),
-                backend.bin_dense_cross(
-                    panel, rest, width, nbins, self._box_lengths
-                ),
-            ):
-                self.stats.distance_computations += computed
-                self.histogram.counts += hist
-
-    def process_intra_cells(self, cells: np.ndarray) -> None:
-        """Compute intra-cell leaf distances for the given cells only.
-
-        The parallel engine shards the leaf cells of an oversized first
-        map (where :meth:`run` would call ``_intra_leaf_distances`` for
-        all of them) across workers.
-        """
-        self._intra_leaf_distances(self.pyramid.leaf_level, cells=cells)
+        n = self.pyramid.sorted_positions.shape[0]
+        for begin in range(first * PANEL_ROWS, n, step * PANEL_ROWS):
+            panel = slice(begin, min(begin + PANEL_ROWS, n))
+            self._bin_self_tile(panel)
+            self._bin_tile(panel, slice(panel.stop, n))
 
     # ------------------------------------------------------------------
     # Level geometry tables
@@ -526,82 +499,23 @@ class GridSDHEngine:
         w = self._weight_sums(level)
         return w[cells_a] * w[cells_b]
 
-    def _wrap_deltas(self, delta: np.ndarray) -> np.ndarray:
-        """Apply the minimum-image convention when periodic."""
-        if not self.periodic:
-            return delta
-        from ..geometry.distance import minimum_image
+    def _bin_distances(
+        self,
+        distances: np.ndarray,
+        weights_a: np.ndarray | None = None,
+        weights_b: np.ndarray | None = None,
+    ) -> None:
+        """Bin realized distances on the policy path.
 
-        return minimum_image(
-            delta, np.asarray(self.particles.box.sides)
-        )
-
-    def _bin_distances(self, distances: np.ndarray) -> None:
-        """Bin a batch of realized distances into the histogram."""
+        Weighted runs pass the two weights of each distance's pair.
+        """
         self.stats.distance_computations += distances.size
-        if self._fast_bin_width is not None:
-            # Same expression as UniformBuckets.bucket_of (truncation of
-            # a non-negative quotient == floor), so boundary-exact
-            # distances bin identically to the brute-force baseline.
-            idx = np.minimum(
-                (distances / self._fast_bin_width).astype(np.int64),
-                self.spec.num_buckets - 1,
-            )
-            self.histogram.counts += np.bincount(
-                idx, minlength=self.spec.num_buckets
-            )
+        if self.weighted:
+            self._accum.bin_products(distances, weights_a, weights_b)
             return
         self.histogram.add_counts(
             self.spec.bin_counts_query(distances, policy=self.policy)
         )
-
-    def _bin_pairs(
-        self, positions: np.ndarray, g1: np.ndarray, g2: np.ndarray
-    ) -> None:
-        """Resolve one enumerated particle-pair batch.
-
-        Kernel-eligible queries (see ``kernels.fast_uniform_width``) go
-        through the selected backend, which fuses distance computation
-        and binning; anything else keeps the inline wrap/einsum path so
-        policy handling and custom buckets behave exactly as before.
-        """
-        if self.weighted:
-            if self._fast_bin_width is not None:
-                limbs, computed = (
-                    self._kernel_backend.bin_gathered_pairs_weighted(
-                        positions,
-                        self._w_sorted,
-                        g1,
-                        g2,
-                        self._fast_bin_width,
-                        self.spec.num_buckets,
-                        self._box_lengths,
-                    )
-                )
-                self.stats.distance_computations += computed
-                self._accum.add_limbs(limbs, computed)
-                return
-            delta = self._wrap_deltas(positions[g1] - positions[g2])
-            distances = np.sqrt(np.einsum("ij,ij->i", delta, delta))
-            self.stats.distance_computations += distances.size
-            self._accum.bin_products(
-                distances, self._w_obj_sorted[g1], self._w_obj_sorted[g2]
-            )
-            return
-        if self._fast_bin_width is not None:
-            hist, computed = self._kernel_backend.bin_gathered_pairs(
-                positions,
-                g1,
-                g2,
-                self._fast_bin_width,
-                self.spec.num_buckets,
-                self._box_lengths,
-            )
-            self.stats.distance_computations += computed
-            self.histogram.counts += hist
-            return
-        delta = self._wrap_deltas(positions[g1] - positions[g2])
-        self._bin_distances(np.sqrt(np.einsum("ij,ij->i", delta, delta)))
 
     # ------------------------------------------------------------------
     # Stage 1: intra-cell counts on the start map (Fig. 2 lines 3-5)
@@ -634,58 +548,23 @@ class GridSDHEngine:
             n = counts.astype(np.float64)
             self.histogram.add(0, float((n * (n - 1)).sum() / 2.0))
             return
-        if self.approximate:
-            # No distance computation allowed: distribute intra-cell
-            # ranges [0, diagonal] heuristically.
-            nonempty = np.flatnonzero(counts >= 2)
-            if nonempty.size == 0:
-                return
-            n = counts[nonempty].astype(np.float64)
-            weights = n * (n - 1) / 2.0
-            u = np.zeros(nonempty.size)
-            v = np.full(nonempty.size, self.pyramid.cell_diagonal(start))
-            context = AllocationContext(
-                offsets=np.zeros((nonempty.size, self.pyramid.dim), np.int64),
-                cell_sides=self.pyramid.cell_sides(start),
-                rng=self.rng,
-            )
-            self._allocate(u, v, weights, context)
+        # Only ADM-SDH gets here without the shortcut (an exact run that
+        # starts on the leaf map sweeps instead), and it computes no
+        # distance: distribute intra-cell ranges [0, diagonal]
+        # heuristically.
+        nonempty = np.flatnonzero(counts >= 2)
+        if nonempty.size == 0:
             return
-        # Exact mode with an oversized first map: compute intra-cell
-        # distances directly (start == leaf level by construction).
-        self._intra_leaf_distances(start)
-
-    def _intra_leaf_distances(
-        self, level: int, cells: np.ndarray | None = None
-    ) -> None:
-        if level != self.pyramid.leaf_level:
-            raise QueryError(
-                "direct intra-cell distances only happen on the leaf map"
-            )
-        counts = self.pyramid.counts(level)
-        if cells is None:
-            cells = np.flatnonzero(counts >= 2)
-        else:
-            cells = np.asarray(cells, dtype=np.int64)
-        if cells.size == 0:
-            return
-        if self.on_leaf_pairs is not None:
-            self.on_leaf_pairs(cells, cells)
-        starts = self.pyramid.leaf_starts
-        positions = self.pyramid.sorted_positions
-        for begin in range(0, cells.size, 4096):
-            block = cells[begin : begin + 4096]
-            c = counts[block].astype(np.int64)
-            for g1, g2 in expand_products(
-                starts[block], c, starts[block], c, self.distance_chunk
-            ):
-                keep = g1 < g2
-                if self._sides_sorted is not None:
-                    keep &= self._sides_sorted[g1] != self._sides_sorted[g2]
-                g1, g2 = g1[keep], g2[keep]
-                if g1.size == 0:
-                    continue
-                self._bin_pairs(positions, g1, g2)
+        n = counts[nonempty].astype(np.float64)
+        weights = n * (n - 1) / 2.0
+        u = np.zeros(nonempty.size)
+        v = np.full(nonempty.size, self.pyramid.cell_diagonal(start))
+        context = AllocationContext(
+            offsets=np.zeros((nonempty.size, self.pyramid.dim), np.int64),
+            cell_sides=self.pyramid.cell_sides(start),
+            rng=self.rng,
+        )
+        self._allocate(u, v, weights, context)
 
     # ------------------------------------------------------------------
     # Stage 2: the level loop
@@ -922,7 +801,46 @@ class GridSDHEngine:
                     break
                 a_start, a_stop, lo, hi = next_group
 
-    def _bin_tile(self, a_rows: slice, b_rows: np.ndarray) -> None:
+    def _bin_self_tile(self, rows: slice) -> None:
+        """Bin the pairs within one panel of at most ``PANEL_ROWS`` rows.
+
+        Cross-set runs bin the panel's side-0 rows against its side-1
+        rows.
+        """
+        if self._sides_sorted is not None:
+            idx = np.arange(rows.start, rows.stop)
+            side = self._sides_sorted[rows]
+            self._bin_dense(idx[~side], idx[side])
+            return
+        positions = self.pyramid.sorted_positions[rows]
+        width = self._fast_bin_width
+        nbins = self.spec.num_buckets
+        if width is not None and self.weighted:
+            limbs, computed = self._kernel_backend.bin_dense_self_weighted(
+                positions, self._w_sorted[rows], width, nbins,
+                self._box_lengths,
+            )
+            self.stats.distance_computations += computed
+            self._accum.add_limbs(limbs, computed)
+        elif width is not None:
+            hist, computed = self._kernel_backend.bin_dense_self(
+                positions, width, nbins, self._box_lengths
+            )
+            self.stats.distance_computations += computed
+            self.histogram.counts += hist
+        else:
+            # One panel, so one upper-triangle chunk in triu order.
+            for distances in iter_self_distance_chunks(
+                positions, box_lengths=self._box_lengths
+            ):
+                if self.weighted:
+                    iu, ju = np.triu_indices(len(positions), k=1)
+                    weights = self._w_sorted[rows]
+                    self._bin_distances(distances, weights[iu], weights[ju])
+                else:
+                    self._bin_distances(distances)
+
+    def _bin_tile(self, a_rows: slice, b_rows: slice | np.ndarray) -> None:
         """Bin every distance between a slice and a set of sorted particles.
 
         Cross-set runs bin the two one-sided tiles ``A0 x B1`` and
@@ -931,6 +849,8 @@ class GridSDHEngine:
         if self._sides_sorted is None:
             self._bin_dense(a_rows, b_rows)
             return
+        if isinstance(b_rows, slice):
+            b_rows = np.arange(b_rows.start, b_rows.stop)
         side_a = self._sides_sorted[a_rows]
         side_b = self._sides_sorted[b_rows]
         a_idx = np.arange(a_rows.start, a_rows.stop)
@@ -938,24 +858,25 @@ class GridSDHEngine:
         self._bin_dense(a_idx[side_a], b_rows[~side_b])
 
     def _bin_dense(
-        self, a_rows: slice | np.ndarray, b_rows: np.ndarray
+        self, a_rows: slice | np.ndarray, b_rows: slice | np.ndarray
     ) -> None:
         """Bin the ``len(a_rows) * len(b_rows)`` distances of one tile.
 
-        Fast-binning queries go through the backend's dense cross
-        kernels, which run the gathered kernels' op sequence (subtract,
-        minimum image, squares summed in axis order, sqrt, truncating
-        divide), so the histogram is bit-identical.  Other buckets bin
-        the same distances through ``_bin_distances`` / the weighted
-        slow path.
+        ``a_rows`` holds at most ``PANEL_ROWS`` particles.  Fast-binning
+        queries go through the backend's dense cross kernels, which run
+        the gathered kernels' op sequence (subtract, minimum image,
+        squares summed in axis order, sqrt, truncating divide), so the
+        histogram is bit-identical.  Other buckets bin the same
+        distances through ``_bin_distances``.
         """
         positions = self.pyramid.sorted_positions
         pos_a = positions[a_rows]
         pos_b = positions[b_rows]
         if len(pos_a) == 0 or len(pos_b) == 0:
             return
-        # One kernel panel per tile: callers keep tiles within _TILE.
-        chunk = max(len(pos_a), len(pos_b))
+        # Kernel panels of at most _TILE distances: the whole tile when
+        # it fits, else A against blocks of _TILE // len(A) rows of B.
+        chunk = max(PANEL_ROWS, _TILE // min(len(pos_a), len(pos_b)))
         width = self._fast_bin_width
         if width is not None and self.weighted:
             limbs, computed = self._kernel_backend.bin_dense_cross_weighted(
@@ -982,19 +903,21 @@ class GridSDHEngine:
             self.stats.distance_computations += computed
             self.histogram.counts += hist
         else:
-            (distances,) = iter_cross_distance_chunks(
-                pos_a, pos_b, chunk=chunk, box_lengths=self._box_lengths
-            )
-            if self.weighted:
-                # Distances are row-major over (a, b).
-                self.stats.distance_computations += distances.size
-                self._accum.bin_products(
-                    distances,
-                    np.repeat(self._w_obj_sorted[a_rows], len(pos_b)),
-                    np.tile(self._w_obj_sorted[b_rows], len(pos_a)),
+            weights_b = self._w_sorted[b_rows] if self.weighted else None
+            for begin in range(0, len(pos_b), chunk):
+                block = pos_b[begin : begin + chunk]
+                (distances,) = iter_cross_distance_chunks(
+                    pos_a, block, chunk=chunk, box_lengths=self._box_lengths
                 )
-            else:
-                self._bin_distances(distances)
+                if self.weighted:
+                    # Distances are row-major over (a, b).
+                    self._bin_distances(
+                        distances,
+                        np.repeat(self._w_sorted[a_rows], len(block)),
+                        np.tile(weights_b[begin : begin + chunk], len(pos_a)),
+                    )
+                else:
+                    self._bin_distances(distances)
 
     # ------------------------------------------------------------------
     def _allocate(

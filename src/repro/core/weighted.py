@@ -7,9 +7,10 @@ so that the whole query is one exact integer computation (see
 
 * resolved cell pairs add products of exact cell weight sums;
 * kernel leaf batches add their limb arrays;
-* slow-path leaf batches (custom buckets, ``low > 0``) add per-pair
-  products keyed by :meth:`~repro.core.buckets.BucketSpec.bucket_of`
-  indices, honouring the overflow policy exactly like
+* slow-path leaf batches (custom buckets, ``low > 0``) scatter per-pair
+  products into the same limbs, keyed by
+  :meth:`~repro.core.buckets.BucketSpec.bucket_of` indices and honouring
+  the overflow policy exactly like
   :meth:`~repro.core.buckets.BucketSpec.bin_counts_query`;
 * :meth:`finalize_into` rounds each bucket total once, so the result is
   the correctly-rounded double of the exact real sum regardless of
@@ -54,7 +55,12 @@ class WeightedAccumulator:
     def add_limbs(self, limbs: np.ndarray, pairs: int) -> None:
         """Merge one kernel batch's limb array (exact integer addition)."""
         self._limbs += limbs
-        self._pending += max(int(pairs), 1)
+        self._count(max(int(pairs), 1))
+
+    def _count(self, pairs: int) -> None:
+        """Note ``pairs`` more products in the limbs; normalize them
+        before the int64 digits could overflow."""
+        self._pending += pairs
         if self._pending >= exact.SCATTER_LIMIT:
             exact.normalize_limbs(self._limbs)
             self._pending = 0
@@ -72,15 +78,16 @@ class WeightedAccumulator:
     def bin_products(
         self,
         distances: np.ndarray,
-        mass_a: np.ndarray,
-        mass_b: np.ndarray,
+        weights_a: np.ndarray,
+        weights_b: np.ndarray,
     ) -> None:
         """Slow-path binning of realized distances with exact products.
 
-        ``mass_a`` / ``mass_b`` are object-int weight arrays aligned
-        with ``distances``.  Below-range distances are dropped (the
-        query convention of ``bin_counts_query``); above-range ones
-        follow the overflow policy.
+        ``weights_a`` / ``weights_b`` are float weight arrays aligned
+        with ``distances``; their products are scattered exactly into
+        the limbs.  Below-range distances are dropped (the query
+        convention of ``bin_counts_query``); above-range ones follow the
+        overflow policy.
         """
         idx = self.spec.bucket_of(distances)
         num = self.spec.num_buckets
@@ -96,12 +103,18 @@ class WeightedAccumulator:
                 idx = np.where(high, num - 1, idx)
             else:  # DROP
                 keep = ~high
-                idx, mass_a, mass_b = idx[keep], mass_a[keep], mass_b[keep]
+                idx = idx[keep]
+                weights_a, weights_b = weights_a[keep], weights_b[keep]
         keep = idx >= 0
         if not keep.all():
-            idx, mass_a, mass_b = idx[keep], mass_a[keep], mass_b[keep]
+            idx = idx[keep]
+            weights_a, weights_b = weights_a[keep], weights_b[keep]
         if idx.size:
-            np.add.at(self.buckets, idx, mass_a * mass_b)
+            exact.scatter_products(
+                self._limbs, idx,
+                *exact.decompose(weights_a), *exact.decompose(weights_b),
+            )
+            self._count(int(idx.size))
 
     # ------------------------------------------------------------------
     def totals(self) -> np.ndarray:

@@ -21,8 +21,9 @@ returning ``(int64 histogram, number_of_distances)``:
 
 ``bin_gathered_pairs(positions, idx_a, idx_b, width, nbins,
 box_lengths=None, chunk=...)``
-    Bin the distances of explicitly enumerated index pairs (the grid
-    engine's intra-cell leaf pairs).
+    Bin the distances of explicitly enumerated index pairs (no engine
+    path calls it; tests and traced benchmark runs keep it as the
+    gathered reference).
 ``bin_dense_self(positions, width, nbins, box_lengths=None, chunk=...)``
     All ``n(n-1)/2`` intra-set distances (brute force, tree leaves).
 ``bin_dense_cross(pos_a, pos_b, width, nbins, box_lengths=None,

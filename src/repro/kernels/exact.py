@@ -20,7 +20,7 @@ integer and keeps all intermediate sums exact:
   products at scale ``2**-PRODUCT_BIAS``;
 * per-bucket accumulators are either arbitrary-precision Python ints
   (engine-level cell resolution) or fixed-width little-endian *limb
-  arrays* of int64 (kernel-level hot loops: vectorizable in numpy,
+  arrays* of int64 (every per-pair product: vectorizable in numpy,
   loopable in numba, mergeable by plain integer addition);
 * :func:`finalize` divides the exact integer totals by
   ``2**PRODUCT_BIAS`` with Python's correctly-rounded int/int division.
@@ -112,6 +112,12 @@ def new_limbs(nbins: int) -> np.ndarray:
     return np.zeros((int(nbins), NLIMBS), dtype=np.int64)
 
 
+#: Pairs per :func:`scatter_products` sub-batch: small enough that the
+#: ~20 int64 temporaries of a batch stay in the CPU caches, which a
+#: whole 512 x 512 panel's do not.
+SCATTER_BATCH = 8192
+
+
 def scatter_products(
     limbs: np.ndarray,
     bins: np.ndarray,
@@ -125,8 +131,19 @@ def scatter_products(
     The 106-bit product mantissa is built from four 27x27-bit partial
     products; each partial is split into three 32-bit pieces aligned to
     its limb offset, so every arithmetic step stays inside int64 and is
-    exact.  Pure integer work — order cannot perturb the result.
+    exact.  Pure integer work — order cannot perturb the result.  Pairs
+    go in sub-batches of ``SCATTER_BATCH``, whose int64 temporaries stay
+    in cache.
     """
+    for begin in range(0, bins.shape[0], SCATTER_BATCH):
+        part = slice(begin, begin + SCATTER_BATCH)
+        _scatter_batch(
+            limbs, bins[part], mant_a[part], shift_a[part],
+            mant_b[part], shift_b[part],
+        )
+
+
+def _scatter_batch(limbs, bins, mant_a, shift_a, mant_b, shift_b) -> None:
     sign = np.where((mant_a < 0) != (mant_b < 0), np.int64(-1), np.int64(1))
     sign[(mant_a == 0) | (mant_b == 0)] = 0
     abs_a = np.abs(mant_a)

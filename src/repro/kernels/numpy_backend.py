@@ -11,8 +11,9 @@ The dense kernels work axis-major (:class:`_Panels`): each panel is an
 ``m x k`` array built one coordinate axis at a time, the same
 ``d2 += delta * delta`` loop as the compiled tier, at a quarter of the
 cost of an interleaved ``(m * k, d)`` delta array reduced by
-``einsum``.  The gathered kernels keep the ``einsum`` form, which sums
-the same squares in the same order.
+``einsum``.  The gathered kernels sum the gathered deltas' squares
+column by column in the same axis order (``einsum`` would sum 3D rows
+as ``(x0² + x2²) + x1²``).
 """
 
 from __future__ import annotations
@@ -47,7 +48,12 @@ def _gathered_bins(
     delta = positions[idx_a] - positions[idx_b]
     if box_lengths is not None:
         delta = minimum_image(delta, box_lengths)
-    distances = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+    # Squares summed in axis order; einsum would sum 3D rows as
+    # (x0² + x2²) + x1².
+    total = delta[:, 0] * delta[:, 0]
+    for axis in range(1, delta.shape[1]):
+        total += delta[:, axis] * delta[:, axis]
+    distances = np.sqrt(total)
     # Truncation of a non-negative quotient == floor, and the clamp
     # covers the topmost bucket edge — the same expression as
     # UniformBuckets.bucket_of under the fast-binning eligibility

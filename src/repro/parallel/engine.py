@@ -10,9 +10,8 @@ sum without rounding.  That makes the parallel decomposition exact:
 1. the parent builds (or receives) the pyramid and processes the first
    few coarse levels inline — there are too few pairs up there to be
    worth shipping — until the unresolved frontier is wide enough;
-2. the frontier pairs (and, when the start map is the leaf map, the
-   intra-cell leaf scans) are strided round-robin into tasks; a plain
-   query that starts on the leaf map strides the panels of the serial
+2. the frontier pairs are strided round-robin into tasks; a query
+   that starts on the leaf map strides the panels of the serial
    engine's dense self sweep instead;
 3. each worker attaches the shared-memory coordinate arrays once
    (:mod:`repro.parallel.shm`), rebuilds a zero-copy pyramid view, and
@@ -38,12 +37,7 @@ from typing import Iterable
 import numpy as np
 
 from ..core.buckets import BucketSpec, OverflowPolicy
-from ..core.dm_sdh_grid import (
-    DEFAULT_DISTANCE_CHUNK,
-    DEFAULT_PAIR_CHUNK,
-    GridSDHEngine,
-    dm_sdh_grid,
-)
+from ..core.dm_sdh_grid import DEFAULT_PAIR_CHUNK, GridSDHEngine, dm_sdh_grid
 from ..core.histogram import DistanceHistogram
 from ..core.instrumentation import SDHStats
 from ..data.particles import ParticleSet
@@ -73,7 +67,6 @@ def parallel_sdh(
     fanout_pairs: int | None = None,
     mp_context: multiprocessing.context.BaseContext | str | None = None,
     pair_chunk: int = DEFAULT_PAIR_CHUNK,
-    distance_chunk: int = DEFAULT_DISTANCE_CHUNK,
     kernel: str = "auto",
 ) -> DistanceHistogram:
     """Compute an exact SDH on multiple cores; bit-identical to the grid engine.
@@ -132,7 +125,6 @@ def parallel_sdh(
         stats=run_stats,
         periodic=periodic,
         pair_chunk=pair_chunk,
-        distance_chunk=distance_chunk,
         kernel=kernel,
     )
     start = engine._start_level()
@@ -144,14 +136,16 @@ def parallel_sdh(
     if fanout_pairs is None:
         fanout_pairs = 64 * num_tasks
 
-    if start == leaf and engine._sweeps_leaf_start():
+    if start == leaf:
         # The serial engine's dense self sweep, strided over workers.
         panels = -(-pyramid.particles.size // PANEL_ROWS)
         shards = min(num_tasks, panels)
         tasks = [("sweep", t, shards) for t in range(shards)]
     else:
-        tasks = list(_intra_tasks(engine, start, num_tasks))
-        tasks.extend(_frontier_tasks(engine, start, leaf, fanout_pairs,
+        # A start above the leaf map always takes the closed-form
+        # intra-cell count: O(cells) arithmetic, never worth a process.
+        engine._intra_cell(start)
+        tasks = list(_frontier_tasks(engine, start, leaf, fanout_pairs,
                                      num_tasks))
     if not tasks:
         return engine.histogram
@@ -177,7 +171,6 @@ def parallel_sdh(
         "box_lo": tuple(pyramid.particles.box.lo),
         "box_hi": tuple(pyramid.particles.box.hi),
         "pair_chunk": pair_chunk,
-        "distance_chunk": distance_chunk,
         "kernel": engine.kernel,
     }
     registry = get_registry()
@@ -232,35 +225,6 @@ def parallel_sdh(
 # ----------------------------------------------------------------------
 # Parent-side sharding
 # ----------------------------------------------------------------------
-def _intra_tasks(
-    engine: GridSDHEngine, start: int, num_tasks: int
-) -> Iterable[tuple]:
-    """Intra-cell work: inline when it is a closed-form count, sharded
-    leaf scans otherwise."""
-    pyramid = engine.pyramid
-    shortcut = (
-        engine.spec.low == 0.0
-        and pyramid.cell_diagonal(start) <= float(engine.spec.edges[1])
-    )
-    if shortcut:
-        # O(cells) arithmetic — never worth a process round-trip.
-        engine._intra_cell(start)
-        return
-    # Not a shortcut, so the start map is the leaf map (see
-    # GridSDHEngine._start_level) and intra-cell distances are computed
-    # directly.  Shard the occupied cells, largest first, round-robin —
-    # a cell costs ~count^2, so interleaving the sorted order keeps the
-    # shards even.
-    counts = pyramid.counts(pyramid.leaf_level)
-    cells = np.flatnonzero(counts >= 2)
-    if cells.size == 0:
-        return
-    cells = cells[np.argsort(-counts[cells], kind="stable")]
-    shards = min(int(cells.size), num_tasks)
-    for t in range(shards):
-        yield ("intra", cells[t::shards])
-
-
 def _frontier_tasks(
     engine: GridSDHEngine,
     start: int,
@@ -274,22 +238,7 @@ def _frontier_tasks(
     cheap) and stops at the first level whose *unprocessed* expansion
     reaches ``fanout_pairs`` pairs — or at the leaf map, whose pairs
     always go to the workers.
-
-    When the start map already is the leaf map the pair triangle can be
-    enormous; instead of materializing it here, workers receive row
-    strides of the triangle and enumerate their own pairs (the shard
-    payload is two integers).
     """
-    if start == leaf:
-        occupied = int(
-            np.count_nonzero(engine.pyramid.counts(leaf))
-        )
-        if occupied < 2:
-            return
-        shards = min(num_tasks, occupied - 1)
-        for t in range(shards):
-            yield ("triangle", t, shards)
-        return
     level = start
     frontier: list[tuple[np.ndarray, np.ndarray]] = list(
         engine._start_pairs(start)
@@ -349,7 +298,6 @@ def _init_worker(descriptor, config) -> None:
         policy=config["policy"],
         periodic=config["periodic"],
         pair_chunk=config["pair_chunk"],
-        distance_chunk=config["distance_chunk"],
         kernel=config["kernel"],
     )
 
@@ -366,45 +314,10 @@ def _run_task(task: tuple) -> tuple[np.ndarray, SDHStats, float, int]:
     engine.histogram = DistanceHistogram(engine.spec)
     engine.stats = SDHStats()
     started = time.perf_counter()
-    if task[0] == "intra":
-        engine.process_intra_cells(task[1])
-    elif task[0] == "triangle":
-        _run_triangle(engine, task[1], task[2])
-    elif task[0] == "sweep":
+    if task[0] == "sweep":
         engine.sweep_panels(task[1], task[2])
     else:
         _, level, cells_a, cells_b = task
         engine.process_pairs(level, cells_a, cells_b)
     seconds = time.perf_counter() - started
     return engine.histogram.counts, engine.stats, seconds, os.getpid()
-
-
-def _run_triangle(engine: GridSDHEngine, t: int, shards: int) -> None:
-    """Resolve rows ``t, t+shards, ...`` of the leaf-map pair triangle.
-
-    Mirrors ``GridSDHEngine._start_pairs`` for the start==leaf case:
-    the worker enumerates unordered pairs (r, s>r) of occupied leaf
-    cells for its row stride, in blocks of ~pair_chunk pairs, so no
-    process ever holds the full triangle.
-    """
-    pyramid = engine.pyramid
-    level = pyramid.leaf_level
-    nonempty = np.flatnonzero(pyramid.counts(level))
-    c = nonempty.size
-    if c < 2:
-        return
-    rows = np.arange(t, c - 1, shards, dtype=np.int64)
-    if rows.size == 0:
-        return
-    per_row = c - 1 - rows
-    ends = np.cumsum(per_row)
-    cuts = np.searchsorted(
-        ends, np.arange(engine.pair_chunk, ends[-1], engine.pair_chunk),
-        side="left",
-    )
-    bounds = np.unique(np.concatenate(([0], cuts + 1, [rows.size])))
-    for begin, end in zip(bounds[:-1], bounds[1:]):
-        block = rows[begin:end]
-        a_rows = np.repeat(block, per_row[begin:end])
-        b_rows = np.concatenate([np.arange(r + 1, c) for r in block])
-        engine.process_pairs(level, nonempty[a_rows], nonempty[b_rows])

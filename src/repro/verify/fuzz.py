@@ -98,8 +98,18 @@ class FuzzCase:
 
     @property
     def plain(self) -> bool:
-        """Whether the metamorphic invariants apply to this case."""
-        return not (self.request.restricted or self.request.approximate)
+        """Whether the metamorphic invariants apply to this case.
+
+        They count every pair (conservation, the zero-distance diagonal
+        of ``cross(A, A)``), so a query whose first edge is above zero
+        is checked differentially only.
+        """
+        spec = self.request.spec
+        return not (
+            self.request.restricted
+            or self.request.approximate
+            or (spec is not None and spec.low > 0)
+        )
 
     def with_particles(self, particles: ParticleSet) -> "FuzzCase":
         return FuzzCase(

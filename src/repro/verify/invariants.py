@@ -270,7 +270,8 @@ def check_additivity(
         compute_sdh(part_b, request)
     )
     cross = brute_force_cross_sdh(
-        part_a, part_b, request.spec, periodic=request.periodic
+        part_a, part_b, request.spec, policy=request.policy,
+        periodic=request.periodic,
     )
     merged = merged.merge(cross)
     if particles.weighted:

@@ -256,3 +256,52 @@ class TestScalarLookupRegression:
         assert spec._bucket_index_scalar(8.0 * (1 + 1e-12)) == 7
         assert spec._bucket_index_scalar(8.1) == 8  # overflow sentinel
         assert spec._bucket_index_scalar(-0.5) == -1
+
+
+class TestCustomLookupPaths:
+    """The vectorized lookup and the fused query binning agree with the
+    scalar bisect reference."""
+
+    @staticmethod
+    def samples(spec):
+        edges = spec.edges
+        band = edges[-1] * (1.0 + 1e-9)
+        rng = np.random.default_rng(11)
+        return np.concatenate(
+            [
+                rng.uniform(0.0, 1.2 * edges[-1], 3000),
+                edges,
+                np.nextafter(edges, -np.inf),
+                np.nextafter(edges, np.inf),
+                [band, np.nextafter(band, np.inf), 0.0, np.inf],
+            ]
+        )
+
+    @pytest.mark.parametrize("count", [2, 24, 300])
+    def test_vectorized_matches_scalar(self, count):
+        spec = CustomBuckets(np.logspace(-2, 1, count + 1))
+        samples = self.samples(spec)
+        vectorized = spec.bucket_of(samples)
+        assert vectorized.dtype == np.int64
+        for d, got in zip(samples.tolist(), vectorized.tolist()):
+            assert got == spec._bucket_index_scalar(d)
+
+    def test_top_edge_at_the_double_range(self):
+        spec = CustomBuckets([0.5, 1.0, np.finfo(float).max])
+        samples = np.array([0.1, 0.5, 2.0, np.finfo(float).max, np.inf])
+        np.testing.assert_array_equal(spec.bucket_of(samples), [-1, 0, 1, 1, 1])
+
+    @pytest.mark.parametrize("policy", list(OverflowPolicy))
+    def test_query_binning_drops_below_low(self, policy):
+        spec = CustomBuckets([0.2, 0.5, 0.6, 1.0])
+        samples = self.samples(spec)
+        kept = samples[samples >= spec.low]
+        try:
+            want = spec.bin_counts(kept, policy=policy)
+        except DistanceOverflowError:
+            with pytest.raises(DistanceOverflowError):
+                spec.bin_counts_query(samples, policy=policy)
+            return
+        np.testing.assert_array_equal(
+            spec.bin_counts_query(samples, policy=policy), want
+        )

@@ -14,13 +14,14 @@ from repro.core import (
     OverflowPolicy,
     SDHStats,
     UniformBuckets,
+    brute_force_cross_sdh,
     brute_force_sdh,
     dm_sdh_grid,
     make_allocator,
 )
 from repro.core.dm_sdh_grid import _concat_rows
 from repro.data import ParticleSet, uniform, zipf_clustered
-from repro.geometry.distance import PANEL_ROWS
+from repro.geometry.distance import PANEL_ROWS, minimum_image
 from repro.kernels import expand_products, numpy_backend
 from repro.errors import DistanceOverflowError, QueryError
 from repro.quadtree import GridPyramid
@@ -126,9 +127,7 @@ class TestChunkInvariance:
         spec = UniformBuckets.with_count(data.max_possible_distance, 8)
         pyramid = GridPyramid(data)
         baseline = dm_sdh_grid(pyramid, spec=spec)
-        tiny = GridSDHEngine(
-            pyramid, spec=spec, pair_chunk=17, distance_chunk=13
-        ).run()
+        tiny = GridSDHEngine(pyramid, spec=spec, pair_chunk=17).run()
         np.testing.assert_array_equal(baseline.counts, tiny.counts)
 
     def test_stats_invariant_under_chunking(self):
@@ -137,9 +136,7 @@ class TestChunkInvariance:
         pyramid = GridPyramid(data)
         s1, s2 = SDHStats(), SDHStats()
         GridSDHEngine(pyramid, spec=spec, stats=s1).run()
-        GridSDHEngine(
-            pyramid, spec=spec, stats=s2, pair_chunk=19, distance_chunk=11
-        ).run()
+        GridSDHEngine(pyramid, spec=spec, stats=s2, pair_chunk=19).run()
         assert s1.resolve_calls == s2.resolve_calls
         assert s1.resolved_pairs == s2.resolved_pairs
         assert s1.distance_computations == s2.distance_computations
@@ -266,12 +263,9 @@ class _GatheredLeaves(GridSDHEngine):
     """The gathered formulation of the leaf step, as a reference.
 
     Every open leaf-cell pair is enumerated into explicit particle index
-    pairs and binned through ``_bin_pairs``; a leaf start always runs
-    the descent.
+    pairs, whose distances are binned through the numpy backend's
+    gathered kernels (fast binning) or the policy path.
     """
-
-    def _sweeps_leaf_start(self):
-        return False
 
     def _leaf_distances(self, a_ids, b_ids):
         if self.on_leaf_pairs is not None:
@@ -280,14 +274,47 @@ class _GatheredLeaves(GridSDHEngine):
         starts = self.pyramid.leaf_starts
         for g1, g2 in expand_products(
             starts[a_ids], counts[a_ids], starts[b_ids], counts[b_ids],
-            self.distance_chunk,
+            1 << 22,
         ):
             if self._sides_sorted is not None:
                 keep = self._sides_sorted[g1] != self._sides_sorted[g2]
                 g1, g2 = g1[keep], g2[keep]
                 if g1.size == 0:
                     continue
-            self._bin_pairs(self.pyramid.sorted_positions, g1, g2)
+            self._bin_gathered(g1, g2)
+
+    def _bin_gathered(self, g1, g2):
+        positions = self.pyramid.sorted_positions
+        width = self._fast_bin_width
+        nbins = self.spec.num_buckets
+        if width is not None and self.weighted:
+            limbs, computed = numpy_backend.bin_gathered_pairs_weighted(
+                positions, self._w_sorted, g1, g2, width, nbins,
+                self._box_lengths,
+            )
+            self.stats.distance_computations += computed
+            self._accum.add_limbs(limbs, computed)
+        elif width is not None:
+            hist, computed = numpy_backend.bin_gathered_pairs(
+                positions, g1, g2, width, nbins, self._box_lengths
+            )
+            self.stats.distance_computations += computed
+            self.histogram.counts += hist
+        else:
+            delta = positions[g1] - positions[g2]
+            if self.periodic:
+                delta = minimum_image(delta, self._box_lengths)
+            # Squares summed in axis order, as the kernel contract says.
+            total = delta[:, 0] * delta[:, 0]
+            for axis in range(1, delta.shape[1]):
+                total += delta[:, axis] * delta[:, axis]
+            distances = np.sqrt(total)
+            if self.weighted:
+                self._bin_distances(
+                    distances, self._w_sorted[g1], self._w_sorted[g2]
+                )
+            else:
+                self._bin_distances(distances)
 
 
 def _recording_backend(calls):
@@ -320,10 +347,11 @@ def _clustered(n, dim, rng, crowd=0.0):
     return pos, weights
 
 
-def _leaf_engines(data, spec, cls=GridSDHEngine, **kwargs):
+def _leaf_engines(data, spec, cls=GridSDHEngine, height=None, **kwargs):
     """Histogram and stats of one run (or the raised error type)."""
     stats = SDHStats()
-    engine = cls(GridPyramid(data), spec=spec, stats=stats, **kwargs)
+    pyramid = GridPyramid(data, height=height)
+    engine = cls(pyramid, spec=spec, stats=stats, **kwargs)
     try:
         counts = engine.run().counts.copy()
     except DistanceOverflowError:
@@ -357,7 +385,9 @@ class TestDenseLeafTiles:
         pos, weights = _clustered(1200, dim, rng=dim + 70, crowd=0.2)
         data = ParticleSet(pos, weights=weights)
         spec = UniformBuckets.with_count(data.max_possible_distance, 5)
-        self._same(data, spec)
+        # One level more than the default keeps the 3D start above the
+        # leaf map (TestLeafStartSweep has the leaf-start twin).
+        self._same(data, spec, height=GridPyramid(data).height + 1)
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("weighted", [False, True])
@@ -373,7 +403,10 @@ class TestDenseLeafTiles:
             pos, weights=weights if weighted else None
         )
         spec = UniformBuckets.with_count(data.max_possible_distance, 5)
-        pyramid = GridPyramid(data)
+        # One level more than the default keeps the 3D start above the
+        # leaf map (TestLeafStartSweep has the leaf-start twin).
+        height = GridPyramid(data).height + 1
+        pyramid = GridPyramid(data, height=height)
         sides = pyramid.order >= split
         leaf = pyramid.leaf_level
         cells = np.repeat(
@@ -384,7 +417,7 @@ class TestDenseLeafTiles:
         assert ((side_b == 0) & (total > 0)).any()
         assert ((side_b == total) & (total > 0)).any()
         assert ((side_b > 0) & (side_b < total)).any()
-        self._same(data, spec, cross_split=split)
+        self._same(data, spec, height=height, cross_split=split)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_periodic(self, dim):
@@ -402,9 +435,11 @@ class TestDenseLeafTiles:
         pos, weights = _clustered(1000, dim, rng=dim + 100, crowd=0.2)
         data = ParticleSet(pos, weights=weights if weighted else None)
         diag = data.max_possible_distance
-        # low > 0, uneven edges, and a top edge short of the diagonal,
-        # so leaf distances fall below, inside and above the buckets.
-        spec = CustomBuckets([0.05 * diag, 0.2 * diag, 0.23 * diag, 0.6 * diag])
+        # Uneven edges and a top edge short of the diagonal, so leaf
+        # distances fall inside and above the buckets.  low == 0 keeps
+        # the start above the leaf map (TestLeafStartSweep has the
+        # low > 0 twin).
+        spec = CustomBuckets([0.0, 0.3 * diag, 0.33 * diag, 0.6 * diag])
         self._same(data, spec, policy=policy)
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -412,7 +447,7 @@ class TestDenseLeafTiles:
         pos, _ = _clustered(800, dim, rng=dim + 110)
         data = ParticleSet(pos)
         diag = data.max_possible_distance
-        spec = CustomBuckets([0.1 * diag, 0.3 * diag, 1.01 * diag])
+        spec = CustomBuckets([0.0, 0.3 * diag, 1.01 * diag])
         self._same(data, spec, policy=OverflowPolicy.RAISE)
 
     @pytest.mark.parametrize("cross", [False, True])
@@ -486,12 +521,24 @@ class TestDenseLeafTiles:
             calls.append(args)
             return expand_products(*args)
 
+        def gathered(*args, **kwargs):
+            raise AssertionError("gathered kernel called")
+
         monkeypatch.setattr(grid_module, "expand_products", counting)
-        data = uniform(1500, dim=2, rng=140)
-        spec = UniformBuckets.with_count(data.max_possible_distance, 16)
-        stats = SDHStats()
-        GridSDHEngine(GridPyramid(data), spec=spec, stats=stats).run()
-        assert stats.distance_computations > 0
+        pos, weights = _clustered(1500, 2, rng=140)
+        # 16 buckets descend to leaf tiles, 256 start on the leaf map.
+        for num, weighted in itertools.product((16, 256), (False, True)):
+            data = ParticleSet(pos, weights=weights if weighted else None)
+            spec = UniformBuckets.with_count(data.max_possible_distance, num)
+            stats = SDHStats()
+            engine = GridSDHEngine(GridPyramid(data), spec=spec, stats=stats)
+            dense = []
+            engine._kernel_backend = backend = _recording_backend(dense)
+            backend.bin_gathered_pairs = gathered
+            backend.bin_gathered_pairs_weighted = gathered
+            engine.run()
+            assert stats.distance_computations > 0
+            assert dense
         assert calls == []
 
     @pytest.mark.parametrize(
@@ -525,7 +572,9 @@ class TestLeafStartSweep:
             data.max_periodic_distance if periodic
             else data.max_possible_distance
         )
-        spec = UniformBuckets.with_count(reach, 256)
+        # Narrower than a leaf cell of the default pyramid, wider than
+        # one of a pyramid three levels taller.
+        spec = UniformBuckets.with_count(reach, 24 if dim == 2 else 12)
         pyramid = GridPyramid(data)
         stats = SDHStats()
         got = GridSDHEngine(
@@ -534,22 +583,77 @@ class TestLeafStartSweep:
         assert stats.start_level == pyramid.leaf_level
         assert stats.resolve_calls == {}
         assert stats.distance_computations == data.num_pairs
-        want = _GatheredLeaves(pyramid, spec=spec, periodic=periodic).run()
-        np.testing.assert_array_equal(got.counts, want.counts)
+        # Three more levels put the leaf map below the start map, so the
+        # same query descends and reaches the leaf tiles.
+        want = _leaf_engines(
+            data, spec, cls=_GatheredLeaves, height=pyramid.height + 3,
+            periodic=periodic,
+        )
+        np.testing.assert_array_equal(got.counts, want[0])
 
+    @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize(
-        "kwargs",
-        [{"cross_split": 400}, {"use_mbr": True}, {"weighted": True}],
+        "mode",
+        [
+            "cross", "mbr", "weighted", "cross-weighted", "periodic",
+            "custom-clamp", "custom-drop", "custom-raise",
+            "custom-raise-covered", "custom-weighted",
+            "custom-weighted-drop", "custom-weighted-raise",
+            "custom-cross-weighted",
+        ],
     )
-    def test_other_modes_keep_the_descent(self, kwargs):
-        data = zipf_clustered(900, dim=2, rng=160)
-        if kwargs.pop("weighted", False):
-            data = data.with_weights(np.linspace(0.5, 2.0, data.size))
-        spec = UniformBuckets.with_count(data.max_possible_distance, 256)
+    def test_every_exact_mode_sweeps(self, mode, dim):
+        # More than two panels, so a panel's later rows span several
+        # kernel panels.
+        pos, weights = _clustered(1100, dim, rng=160 + dim, crowd=0.2)
+        data = ParticleSet(
+            pos, weights=weights if "weighted" in mode else None
+        )
+        diag = data.max_possible_distance
+        kwargs = {}
+        if mode.startswith("custom"):
+            # low > 0 always starts on the leaf map.
+            top = 1.01 if mode.endswith("covered") else 0.6
+            spec = CustomBuckets(
+                [0.05 * diag, 0.2 * diag, 0.23 * diag, top * diag]
+            )
+            policy = next(
+                (p for p in ("DROP", "RAISE") if p.lower() in mode), "CLAMP"
+            )
+            kwargs["policy"] = OverflowPolicy[policy]
+        elif mode == "periodic":
+            spec = UniformBuckets.with_count(data.max_periodic_distance, 256)
+            kwargs["periodic"] = True
+        else:
+            spec = UniformBuckets.with_count(diag, 256)
+        if mode == "mbr":
+            kwargs["use_mbr"] = True
+        split = 500 if "cross" in mode else None
         pyramid = GridPyramid(data)
         stats = SDHStats()
-        got = GridSDHEngine(pyramid, spec=spec, stats=stats, **kwargs).run()
+        try:
+            got = GridSDHEngine(
+                pyramid, spec=spec, stats=stats, cross_split=split, **kwargs
+            ).run().counts
+        except DistanceOverflowError:
+            got = DistanceOverflowError
+        kwargs.pop("use_mbr", None)
+        try:
+            if split is None:
+                want = brute_force_sdh(data, spec=spec, **kwargs).counts
+            else:
+                want = brute_force_cross_sdh(
+                    data.select(np.arange(split)),
+                    data.select(np.arange(split, data.size)),
+                    spec, **kwargs,
+                ).counts
+        except DistanceOverflowError:
+            want = DistanceOverflowError
         assert stats.start_level == pyramid.leaf_level
-        assert stats.resolve_calls
-        want = _GatheredLeaves(pyramid, spec=spec, **kwargs).run()
-        np.testing.assert_array_equal(got.counts, want.counts)
+        assert stats.resolve_calls == {}
+        if want is DistanceOverflowError:
+            assert got is DistanceOverflowError
+            return
+        np.testing.assert_array_equal(got, want)
+        pairs = data.num_pairs if split is None else split * (1100 - split)
+        assert stats.distance_computations == pairs

@@ -208,8 +208,29 @@ class TestNumpyBackend:
         assert total == 0 and not hist.any()
 
 
+def _axis_order_distances(a, b, box_lengths=None):
+    """Row-major ``a x b`` distances, squares summed in axis order."""
+    delta = (a[:, None, :] - b[None, :, :]).reshape(-1, a.shape[1])
+    if box_lengths is not None:
+        lengths = np.asarray(box_lengths, dtype=np.float64)
+        delta = delta - lengths * np.round(delta / lengths)
+    total = delta[:, 0] * delta[:, 0]
+    for axis in range(1, delta.shape[1]):
+        total = total + delta[:, axis] * delta[:, axis]
+    return np.sqrt(total)
+
+
+def _einsum_distances(a, b, box_lengths=None):
+    """Row-major ``a x b`` distances: interleaved deltas reduced by einsum."""
+    delta = (a[:, None, :] - b[None, :, :]).reshape(-1, a.shape[1])
+    if box_lengths is not None:
+        lengths = np.asarray(box_lengths, dtype=np.float64)
+        delta = delta - lengths * np.round(delta / lengths)
+    return np.sqrt(np.einsum("ij,ij->i", delta, delta))
+
+
 def _binned(chunks, width, nbins):
-    """Reference binning of einsum-path distance chunks (the contract)."""
+    """Reference binning of distance chunks (the contract)."""
     hist = np.zeros(nbins, dtype=np.int64)
     total = 0
     for distances in chunks:
@@ -253,16 +274,15 @@ PANEL_CASES = (
 
 
 class TestAxisMajorPanels:
-    """The axis-major dense kernels against the einsum-path iterators."""
+    """The axis-major dense kernels and distance iterators against the
+    einsum formulation."""
 
     @pytest.mark.parametrize("dim", (2, 3))
     @pytest.mark.parametrize("name", PANEL_CASES)
     @pytest.mark.parametrize("chunk", (1, 7, PANEL_ROWS, 10_000))
     def test_self_matches_einsum_reference(self, name, dim, chunk):
         points, box, width, nbins = _panel_case(name, dim)
-        expected = _binned(
-            iter_self_distance_chunks(points, box_lengths=box), width, nbins
-        )
+        expected = _reference_self(points, width, nbins, box)
         hist, total = get_backend("numpy").bin_dense_self(
             points, width, nbins, box, chunk=chunk
         )
@@ -275,9 +295,7 @@ class TestAxisMajorPanels:
     def test_cross_matches_einsum_reference(self, name, dim, chunk):
         points, box, width, nbins = _panel_case(name, dim)
         a, b = points[::2], points[1::2]
-        expected = _binned(
-            iter_cross_distance_chunks(a, b, box_lengths=box), width, nbins
-        )
+        expected = _binned([_einsum_distances(a, b, box)], width, nbins)
         hist, total = get_backend("numpy").bin_dense_cross(
             a, b, width, nbins, box, chunk=chunk
         )
@@ -295,13 +313,11 @@ class TestAxisMajorPanels:
         backend = get_backend("numpy")
         np.testing.assert_array_equal(
             backend.bin_dense_self(a, width, nbins, box)[0],
-            _binned(iter_self_distance_chunks(a, box_lengths=box), width, nbins)[0],
+            _reference_self(a, width, nbins, box)[0],
         )
         np.testing.assert_array_equal(
             backend.bin_dense_cross(a, b, width, nbins, box)[0],
-            _binned(
-                iter_cross_distance_chunks(a, b, box_lengths=box), width, nbins
-            )[0],
+            _binned([_einsum_distances(a, b, box)], width, nbins)[0],
         )
 
     @pytest.mark.parametrize("dim", (2, 3))
@@ -631,6 +647,134 @@ class TestWeightedKernelProperties:
         np.testing.assert_array_equal(
             exact.limbs_to_ints(gathered), exact.limbs_to_ints(dense)
         )
+
+
+class TestAxisOrderSums:
+    """Every pair-distance path sums squares in axis order.
+
+    ``einsum`` sums a 3D row as ``(x0² + x2²) + x1²``, which rounds
+    differently for about a quarter of random pairs; a distance one ulp
+    from a bucket edge then lands in another bucket.
+    """
+
+    #: A 3D pair whose axis-order distance is one ulp below its einsum
+    #: distance, and a width that puts a bucket edge between the two.
+    PAIR = np.array([
+        [0.546470509052142, 0.3800487238686116, 0.6699407605157044],
+        [0.5047479407607547, 0.5054444422332665, 0.626515103851089],
+    ])
+    WIDTH = 0.04636886712460129
+
+    @pytest.mark.parametrize("dim", (2, 3))
+    @pytest.mark.parametrize("periodic", (False, True))
+    def test_distance_helpers(self, dim, periodic):
+        from repro.geometry import cross_distances, pairwise_distances
+
+        rng = np.random.default_rng(dim)
+        points = rng.random((300, dim))
+        box = np.ones(dim) if periodic else None
+        a, b = points[:130], points[130:]
+        iu, ju = np.triu_indices(300, k=1)
+        self_want = _axis_order_distances(points, points, box)[iu * 300 + ju]
+        cross_want = _axis_order_distances(a, b, box)
+        (self_got,) = iter_self_distance_chunks(points, PANEL_ROWS, box)
+        (cross_got,) = iter_cross_distance_chunks(a, b, PANEL_ROWS, box)
+        np.testing.assert_array_equal(self_got, self_want)
+        np.testing.assert_array_equal(cross_got, cross_want)
+        for chunk in (1, 7):
+            np.testing.assert_array_equal(
+                np.sort(np.concatenate(list(
+                    iter_self_distance_chunks(points, chunk, box)
+                ))),
+                np.sort(self_want),
+            )
+        if not periodic:
+            np.testing.assert_array_equal(
+                pairwise_distances(points), self_want
+            )
+            np.testing.assert_array_equal(cross_distances(a, b), cross_want)
+
+    def test_edge_pair_bins_alike_everywhere(self):
+        from repro.core import (
+            OverflowPolicy, brute_force_sdh, dm_sdh_grid, dm_sdh_tree,
+        )
+        from repro.data import ParticleSet
+
+        axis = _axis_order_distances(self.PAIR[:1], self.PAIR[1:])[0]
+        assert axis < _einsum_distances(self.PAIR[:1], self.PAIR[1:])[0]
+        nbins = 40
+        backend = get_backend("numpy")
+        want = int(axis / self.WIDTH)
+        gathered, _ = backend.bin_gathered_pairs(
+            self.PAIR, np.array([0]), np.array([1]), self.WIDTH, nbins
+        )
+        dense, _ = backend.bin_dense_self(self.PAIR, self.WIDTH, nbins)
+        assert np.flatnonzero(gathered).tolist() == [want]
+        assert np.flatnonzero(dense).tolist() == [want]
+        data = ParticleSet(self.PAIR)
+        spec = UniformBuckets(self.WIDTH, 40)
+        # A custom edge exactly at the einsum distance.
+        edge = float(_einsum_distances(self.PAIR[:1], self.PAIR[1:])[0])
+        custom = CustomBuckets([0.0, edge, 2.0])
+        for spec, policy, want in (
+            (spec, OverflowPolicy.CLAMP, want),
+            (custom, OverflowPolicy.RAISE, 0),
+        ):
+            for weights in (None, np.array([1.5, -2.0])):
+                pair = ParticleSet(self.PAIR, weights=weights)
+                for run in (
+                    lambda: dm_sdh_grid(pair, spec=spec, policy=policy),
+                    lambda: dm_sdh_grid(
+                        pair, spec=spec, policy=policy, use_mbr=True
+                    ),
+                    lambda: dm_sdh_tree(pair, spec=spec, policy=policy),
+                    lambda: brute_force_sdh(pair, spec=spec, policy=policy),
+                ):
+                    assert np.flatnonzero(run().counts).tolist() == [want]
+
+
+class TestExactProducts:
+    """Limb scatters against Python-int products of the same weights."""
+
+    @staticmethod
+    def _weights(rng, n):
+        return rng.normal(size=n) * 10.0 ** rng.integers(-150, 150, n)
+
+    def test_scatter_sub_batches_match_python_ints(self):
+        rng = np.random.default_rng(5)
+        n = 3 * exact.SCATTER_BATCH + 17
+        wa, wb = self._weights(rng, n), self._weights(rng, n)
+        wb[::7] = 0.0
+        bins = rng.integers(0, 4, n)
+        limbs = exact.new_limbs(4)
+        exact.scatter_products(
+            limbs, bins, *exact.decompose(wa), *exact.decompose(wb)
+        )
+        ia, ib = exact.weight_ints(wa), exact.weight_ints(wb)
+        want = [
+            sum((ia[bins == k] * ib[bins == k]).tolist(), 0)
+            for k in range(4)
+        ]
+        assert exact.limbs_to_ints(limbs).tolist() == want
+
+    @pytest.mark.parametrize("policy", ["clamp", "drop"])
+    def test_bin_products_match_python_ints(self, policy):
+        from repro.core import OverflowPolicy
+        from repro.core.weighted import WeightedAccumulator
+
+        rng = np.random.default_rng(6)
+        n = 20000
+        distances = rng.uniform(0.0, 1.2, n)
+        wa, wb = self._weights(rng, n), self._weights(rng, n)
+        spec = CustomBuckets([0.1, 0.4, 0.5, 1.0])
+        accum = WeightedAccumulator(spec, OverflowPolicy[policy.upper()])
+        accum.bin_products(distances, wa, wb)
+        idx = spec.bucket_of(distances)
+        if policy == "clamp":
+            idx = np.where(idx >= 3, 2, idx)
+        products = exact.weight_ints(wa) * exact.weight_ints(wb)
+        want = [sum(products[idx == k].tolist(), 0) for k in range(3)]
+        assert accum.totals().tolist() == want
 
 
 @numba_only

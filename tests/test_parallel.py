@@ -5,7 +5,7 @@ is *exact*: every partial count is an integral float64 far below 2^53,
 so summing per-worker histograms in any order reproduces the serial
 grid engine bit for bit.  These tests pin that across data families,
 periodic boundaries, restricted varieties, and the start==leaf
-(triangle-sharded) code path — and verify that no run, successful or
+(sweep-sharded) code path — and verify that no run, successful or
 failed, leaks a shared-memory segment.
 """
 
@@ -14,6 +14,7 @@ import pytest
 
 from repro import (
     BallRegion,
+    CustomBuckets,
     DistanceOverflowError,
     OverflowPolicy,
     QueryError,
@@ -29,11 +30,22 @@ from repro import (
     uniform,
     zipf_clustered,
 )
+from repro.observability import get_registry
 from repro.parallel import SharedArrayBundle, live_segments
 from repro.parallel.shm import attach
 from repro.quadtree import GridPyramid
 
 WORKERS = 2
+
+
+def _tasks_by_kind() -> dict[str, float]:
+    """Parallel shards completed so far in this process, per kind."""
+    metric = get_registry().get("sdh_parallel_tasks_total")
+    counts = {}
+    for line in [] if metric is None else metric.render():
+        labels, value = line.rsplit(" ", 1)
+        counts[labels.split('"')[1]] = float(value)
+    return counts
 
 
 def _assert_same_stats(serial: SDHStats, parallel: SDHStats) -> None:
@@ -79,15 +91,39 @@ class TestBitIdentical:
         )
         np.testing.assert_array_equal(reference.counts, hist.counts)
 
-    def test_triangle_path_when_start_is_leaf(self):
-        """Many narrow buckets force the start map down to the leaf map,
-        exercising the worker-enumerated triangle shards."""
+    @pytest.mark.parametrize("mode", ["plain", "custom", "periodic"])
+    def test_sweep_tasks_when_start_is_leaf(self, mode):
+        """Narrow buckets (or ``low > 0``) start the run on the leaf map:
+        the workers run only strided panels of the dense sweep."""
         data = uniform(800, dim=2, rng=22)
         pyramid = GridPyramid(data)
-        spec = UniformBuckets.with_count(data.max_possible_distance, 96)
-        reference = dm_sdh_grid(pyramid, spec=spec)
-        hist = parallel_sdh(pyramid, spec=spec, workers=WORKERS)
+        diag = data.max_possible_distance
+        kwargs = {}
+        if mode == "custom":
+            spec = CustomBuckets(
+                [0.05 * diag, 0.2 * diag, 0.23 * diag, 0.6 * diag]
+            )
+            kwargs["policy"] = OverflowPolicy.CLAMP
+        elif mode == "periodic":
+            spec = UniformBuckets.with_count(data.max_periodic_distance, 96)
+            kwargs["periodic"] = True
+        else:
+            spec = UniformBuckets.with_count(diag, 96)
+        serial_stats, parallel_stats = SDHStats(), SDHStats()
+        reference = dm_sdh_grid(
+            pyramid, spec=spec, stats=serial_stats, **kwargs
+        )
+        before = _tasks_by_kind()
+        hist = parallel_sdh(
+            pyramid, spec=spec, workers=WORKERS, stats=parallel_stats,
+            **kwargs,
+        )
+        after = _tasks_by_kind()
+        ran = {k for k in after if after[k] != before.get(k, 0.0)}
+        assert ran == {"sweep"}
+        assert serial_stats.start_level == pyramid.leaf_level
         np.testing.assert_array_equal(reference.counts, hist.counts)
+        _assert_same_stats(serial_stats, parallel_stats)
 
     def test_restricted_region_and_types(self):
         data = random_types(

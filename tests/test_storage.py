@@ -1,5 +1,8 @@
 """Tests for repro.storage (pages, buffer pool, layout, I/O model)."""
 
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from repro.storage import (
     dm_sdh_io,
     dm_sdh_io_bound,
 )
+from repro.storage import io_model
 
 
 class TestPagedFile:
@@ -178,6 +182,51 @@ class TestIOModel:
         spec = UniformBuckets.with_count(data.max_possible_distance, 1)
         report = dm_sdh_io(data, spec, page_size=32, buffer_pages=8)
         assert report.page_reads == 0
+
+    def test_dm_sdh_io_leaf_start_sees_every_occupied_pair_once(
+        self, monkeypatch
+    ):
+        """Buckets narrower than a leaf cell start the run on the leaf
+        map, whose dense sweep computes every pair of occupied leaf
+        cells: the replay sees the intra-cell scans, then each pair of
+        distinct occupied cells exactly once."""
+        seen = []
+
+        class Recording(io_model.GridSDHEngine):
+            def run(self):
+                observe = self.on_leaf_pairs
+
+                def record(a_ids, b_ids):
+                    seen.append((a_ids.copy(), b_ids.copy()))
+                    observe(a_ids, b_ids)
+
+                self.on_leaf_pairs = record
+                return super().run()
+
+        monkeypatch.setattr(io_model, "GridSDHEngine", Recording)
+        data = uniform(600, dim=2, rng=23)
+        spec = UniformBuckets.with_count(data.max_possible_distance, 64)
+        pyramid = GridPyramid(data)
+        report = dm_sdh_io(
+            data, spec, page_size=32, buffer_pages=8, pyramid=pyramid
+        )
+        occupied = np.flatnonzero(pyramid.counts(pyramid.leaf_level))
+        np.testing.assert_array_equal(seen[0][0], occupied)
+        np.testing.assert_array_equal(seen[0][1], occupied)
+        pairs = Counter(
+            pair
+            for a_ids, b_ids in seen[1:]
+            for pair in zip(a_ids.tolist(), b_ids.tolist())
+        )
+        assert set(pairs.values()) == {1}
+        assert set(pairs) == set(
+            itertools.combinations(occupied.tolist(), 2)
+        )
+        first = CellPageLayout(pyramid, 32).first_pages
+        assert report.page_pairs == len(
+            {(first[a], first[b]) for a, b in pairs}
+        )
+        assert report.logical_reads >= report.page_reads > 0
 
     def test_bound_values(self):
         assert dm_sdh_io_bound(1000, 10, 2) == pytest.approx(100**1.5)
