@@ -25,11 +25,12 @@ import numpy as np
 
 from ..data.particles import ParticleSet
 from ..errors import QueryError
-from ..geometry import Region, Relation, cross_distances, pairwise_distances
-from ..kernels import exact, fast_uniform_width, get_backend
+from ..geometry import Region, Relation
+from ..kernels import exact
 from ..quadtree.node import DensityNode
 from ..quadtree.tree import DensityMapTree
 from .buckets import BucketSpec, OverflowPolicy, UniformBuckets
+from .dense import DenseBinner
 from .histogram import DistanceHistogram
 from .instrumentation import SDHStats
 from .weighted import WeightedAccumulator
@@ -123,14 +124,6 @@ class TreeSDHEngine:
         self.tree = tree
         self.particles = tree.particles
         self.spec = _resolve_spec(spec, bucket_width, self.particles)
-        # Fast binning applies when the spec is the standard uniform
-        # cover of the reachable range; otherwise leaf batches fall back
-        # to the spec's general bin_counts_query path.
-        self._fast_bin_width = fast_uniform_width(
-            self.spec, self.particles.max_possible_distance
-        )
-        self._kernel_backend = get_backend(kernel)
-        self.kernel = self._kernel_backend.NAME
         if use_mbr and not tree.has_mbr:
             raise QueryError("use_mbr requires a tree built with_mbr=True")
         self.use_mbr = use_mbr
@@ -178,6 +171,12 @@ class TreeSDHEngine:
         if self.weighted:
             self._accum = WeightedAccumulator(self.spec, policy)
             self._w_ints = exact.weight_ints(self.particles.weights)
+        #: Bins every distance the run computes (repro.core.dense).
+        self.binner = DenseBinner(
+            self.spec, policy, kernel, self.particles.max_possible_distance,
+            self.histogram, self.stats, self._accum,
+        )
+        self.kernel = self.binner.backend.NAME
 
     # ------------------------------------------------------------------
     # Entry point (Algorithm DM-SDH, Fig. 2)
@@ -423,34 +422,13 @@ class TreeSDHEngine:
 
     def _leaf_distances(self, m1: DensityNode, m2: DensityNode) -> None:
         """Fig. 2 lines 7-11: bin every qualifying cross distance."""
-        positions = self.particles.positions
         a1, b1 = self._qualifying_indices(m1)
         a2, b2 = self._qualifying_indices(m2)
         if self._type_a is not None and self._type_a != self._type_b:
-            batches = [(a1, b2), (b1, a2)]
+            self._bin_cross(a1, b2)
+            self._bin_cross(b1, a2)
         else:
-            batches = [(a1, a2)]
-        for left, right in batches:
-            if left.size == 0 or right.size == 0:
-                continue
-            if self.weighted:
-                self._weighted_cross_batch(left, right)
-                continue
-            if self._fast_bin_width is not None:
-                hist, computed = self._kernel_backend.bin_dense_cross(
-                    positions[left],
-                    positions[right],
-                    self._fast_bin_width,
-                    self.spec.num_buckets,
-                )
-                self.stats.distance_computations += computed
-                self.histogram.counts += hist
-                continue
-            distances = cross_distances(positions[left], positions[right])
-            self.stats.distance_computations += distances.size
-            self.histogram.add_counts(
-                self.spec.bin_counts_query(distances, policy=self.policy)
-            )
+            self._bin_cross(a1, a2)
 
     def _intra_distances(self, cell: DensityNode) -> None:
         """Distances within one start-map cell when no bucket-0 shortcut.
@@ -459,92 +437,24 @@ class TreeSDHEngine:
         first bucket (the small-N / large-l corner of Fig. 8) or when
         the query's ``r_0 > 0``.
         """
-        positions = self.particles.positions
         a, b = self._qualifying_indices(cell)
         if self._type_a is not None and self._type_a != self._type_b:
-            if a.size and b.size:
-                if self.weighted:
-                    self._weighted_cross_batch(a, b)
-                    return
-                if self._fast_bin_width is not None:
-                    hist, computed = self._kernel_backend.bin_dense_cross(
-                        positions[a],
-                        positions[b],
-                        self._fast_bin_width,
-                        self.spec.num_buckets,
-                    )
-                    self.stats.distance_computations += computed
-                    self.histogram.counts += hist
-                    return
-                distances = cross_distances(positions[a], positions[b])
-                self.stats.distance_computations += distances.size
-                self.histogram.add_counts(
-                    self.spec.bin_counts_query(distances, policy=self.policy)
-                )
+            self._bin_cross(a, b)
             return
-        if a.size < 2:
-            return
-        if self.weighted:
-            self._weighted_self_batch(a)
-            return
-        if self._fast_bin_width is not None:
-            hist, computed = self._kernel_backend.bin_dense_self(
-                positions[a], self._fast_bin_width, self.spec.num_buckets
-            )
-            self.stats.distance_computations += computed
-            self.histogram.counts += hist
-            return
-        distances = pairwise_distances(positions[a])
-        self.stats.distance_computations += distances.size
-        self.histogram.add_counts(
-            self.spec.bin_counts_query(distances, policy=self.policy)
+        weights = self.particles.weights
+        self.binner.self_pairs(
+            self.particles.positions[a],
+            None if weights is None else weights[a],
         )
 
-    def _weighted_cross_batch(
-        self, left: np.ndarray, right: np.ndarray
-    ) -> None:
-        """Bin all cross pairs of two index sets into the accumulator."""
-        assert self._accum is not None
+    def _bin_cross(self, left: np.ndarray, right: np.ndarray) -> None:
+        """Bin all cross pairs of two index sets."""
         positions = self.particles.positions
         weights = self.particles.weights
-        if self._fast_bin_width is not None:
-            limbs, computed = self._kernel_backend.bin_dense_cross_weighted(
-                positions[left],
-                positions[right],
-                weights[left],
-                weights[right],
-                self._fast_bin_width,
-                self.spec.num_buckets,
-            )
-            self.stats.distance_computations += computed
-            self._accum.add_limbs(limbs, computed)
-            return
-        distances = cross_distances(positions[left], positions[right])
-        self.stats.distance_computations += distances.size
-        ia = np.repeat(left, right.size)
-        ib = np.tile(right, left.size)
-        self._accum.bin_products(distances, weights[ia], weights[ib])
-
-    def _weighted_self_batch(self, idx: np.ndarray) -> None:
-        """Bin all intra-set pairs of one index set into the accumulator."""
-        assert self._accum is not None
-        positions = self.particles.positions
-        weights = self.particles.weights
-        if self._fast_bin_width is not None:
-            limbs, computed = self._kernel_backend.bin_dense_self_weighted(
-                positions[idx],
-                weights[idx],
-                self._fast_bin_width,
-                self.spec.num_buckets,
-            )
-            self.stats.distance_computations += computed
-            self._accum.add_limbs(limbs, computed)
-            return
-        distances = pairwise_distances(positions[idx])
-        self.stats.distance_computations += distances.size
-        iu, ju = np.triu_indices(idx.size, k=1)
-        self._accum.bin_products(
-            distances, weights[idx[iu]], weights[idx[ju]]
+        self.binner.cross_pairs(
+            positions[left], positions[right],
+            None if weights is None else weights[left],
+            None if weights is None else weights[right],
         )
 
     # ------------------------------------------------------------------

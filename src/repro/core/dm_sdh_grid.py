@@ -23,10 +23,10 @@ are bit-identical to the naive formulation, which the test suite checks):
   ``np.flatnonzero`` over the (parent, child_a, child_b) mask;
 * **dense leaf tiles** — every leaf cell is one slice of the sorted
   positions, so the open leaf pairs of a cell are binned as dense
-  cell x block tiles by the kernel backend's dense cross kernel
+  cell x block tiles by the query's :class:`~repro.core.dense.DenseBinner`
   instead of as gathered particle index pairs; an exact run whose
   start map is the leaf map has nothing to resolve and bins every
-  pair in one dense self sweep (:meth:`GridSDHEngine.sweep_panels`).
+  pair in one dense sweep (:meth:`GridSDHEngine.sweep_panels`).
 
 The same engine runs the approximate ADM-SDH of Sec. V: a ``stop``
 parameter bounds how many density maps are visited, and the pairs still
@@ -44,17 +44,14 @@ import numpy as np
 
 from ..data.particles import ParticleSet
 from ..errors import DistanceOverflowError, QueryError
-from ..geometry import (
-    box_pair_bounds,
-    iter_cross_distance_chunks,
-    iter_self_distance_chunks,
-)
+from ..geometry import box_pair_bounds
 from ..geometry.distance import PANEL_ROWS
-from ..kernels import exact, fast_uniform_width, get_backend
+from ..kernels import exact
 # Unused here; perfbench/layers.py wraps it by name in this module.
 from ..kernels import expand_products  # noqa: F401
 from ..quadtree.grid import GridPyramid, pool_levels
 from .buckets import BucketSpec, OverflowPolicy, UniformBuckets
+from .dense import TILE, DenseBinner
 from .heuristics import AllocationContext, Allocator
 from .histogram import DistanceHistogram
 from .instrumentation import SDHStats
@@ -64,9 +61,6 @@ __all__ = ["GridSDHEngine", "dm_sdh_grid"]
 
 #: Default ceiling on the number of cell pairs processed per batch.
 DEFAULT_PAIR_CHUNK = 1 << 19
-#: Most distances in one dense leaf tile, and most B-row indices
-#: expanded at once.
-_TILE = PANEL_ROWS * PANEL_ROWS
 
 # Offset-class statuses.
 _RESOLVED = 0
@@ -201,25 +195,6 @@ class GridSDHEngine:
         self.histogram = DistanceHistogram(self.spec)
         self._tables: dict[int, _LevelTable] = {}
         self._float_counts: dict[int, np.ndarray] = {}
-        # Fast binning path: a standard query whose buckets cover every
-        # realizable distance needs no policy checks per distance —
-        # a clipped integer division bins exactly like bin_counts_query.
-        # Eligible leaf work routes through the selected kernel backend
-        # (repro.kernels); anything else stays on the inline
-        # bin_counts_query path regardless of the requested tier.
-        reach = (
-            self.particles.max_periodic_distance
-            if self.periodic
-            else self.particles.max_possible_distance
-        )
-        self._fast_bin_width = fast_uniform_width(self.spec, reach)
-        self._kernel_backend = get_backend(kernel)
-        self.kernel = self._kernel_backend.NAME
-        self._box_lengths = (
-            np.asarray(self.particles.box.sides, dtype=np.float64)
-            if self.periodic
-            else None
-        )
         #: Optional observer called with (a_ids, b_ids) for every batch
         #: of leaf-cell pairs whose distances are computed directly —
         #: the access pattern the storage layer replays to count I/O
@@ -255,6 +230,18 @@ class GridSDHEngine:
         self._accum = (
             WeightedAccumulator(self.spec, policy) if self.weighted else None
         )
+        if self.periodic:
+            reach = self.particles.max_periodic_distance
+            box_lengths = np.asarray(self.particles.box.sides, np.float64)
+        else:
+            reach = self.particles.max_possible_distance
+            box_lengths = None
+        #: Bins every distance the run computes (repro.core.dense).
+        self.binner = DenseBinner(
+            self.spec, policy, kernel, reach, self.histogram, self.stats,
+            self._accum, box_lengths,
+        )
+        self.kernel = self.binner.backend.NAME
         self._sides_sorted = (
             None
             if self.cross_split is None
@@ -293,14 +280,17 @@ class GridSDHEngine:
 
         if start == leaf and not self.approximate:
             # Starting on the leaf map leaves no level to refine into:
-            # every distance is computed directly, so one dense self
-            # sweep bins them at brute force's per-distance cost.
+            # every distance is computed directly, so one dense sweep
+            # bins them at brute force's per-distance cost.
             if self.on_leaf_pairs is not None:
                 occupied = np.flatnonzero(self.pyramid.counts(leaf))
                 self.on_leaf_pairs(occupied, occupied)
                 for cells_a, cells_b in self._start_pairs(leaf):
                     self.on_leaf_pairs(cells_a, cells_b)
-            self.sweep_panels()
+            if self._sides_sorted is None:
+                self.sweep_panels()
+            else:
+                self._bin_rows(~self._sides_sorted, self._sides_sorted)
         else:
             self._intra_cell(start)
             self._drain(start, self._start_pairs(start), last_level)
@@ -353,19 +343,16 @@ class GridSDHEngine:
     def sweep_panels(self, first: int = 0, step: int = 1) -> None:
         """Dense self sweep over panels ``first, first + step, ...``.
 
-        Panel ``p`` is ``PANEL_ROWS`` consecutive sorted particles; its
-        pairs among themselves and with every later particle are binned,
-        so all panels together bin every pair once.  :meth:`run` sweeps
-        all of them when an exact run starts on the leaf map; the
+        Panel ``p`` is ``PANEL_ROWS`` consecutive sorted particles (see
+        :meth:`DenseBinner.self_pairs`).  :meth:`run` sweeps all of them
+        when an exact single-set run starts on the leaf map; the
         parallel engine strides them over its workers.  Weighted runs
         leave the exact totals in the accumulator for :meth:`run` to
         finalize.
         """
-        n = self.pyramid.sorted_positions.shape[0]
-        for begin in range(first * PANEL_ROWS, n, step * PANEL_ROWS):
-            panel = slice(begin, min(begin + PANEL_ROWS, n))
-            self._bin_self_tile(panel)
-            self._bin_tile(panel, slice(panel.stop, n))
+        self.binner.self_pairs(
+            self.pyramid.sorted_positions, self._w_sorted, first, step
+        )
 
     # ------------------------------------------------------------------
     # Level geometry tables
@@ -498,24 +485,6 @@ class GridSDHEngine:
             return wa[cells_a] * wb[cells_b] + wb[cells_a] * wa[cells_b]
         w = self._weight_sums(level)
         return w[cells_a] * w[cells_b]
-
-    def _bin_distances(
-        self,
-        distances: np.ndarray,
-        weights_a: np.ndarray | None = None,
-        weights_b: np.ndarray | None = None,
-    ) -> None:
-        """Bin realized distances on the policy path.
-
-        Weighted runs pass the two weights of each distance's pair.
-        """
-        self.stats.distance_computations += distances.size
-        if self.weighted:
-            self._accum.bin_products(distances, weights_a, weights_b)
-            return
-        self.histogram.add_counts(
-            self.spec.bin_counts_query(distances, policy=self.policy)
-        )
 
     # ------------------------------------------------------------------
     # Stage 1: intra-cell counts on the start map (Fig. 2 lines 3-5)
@@ -785,12 +754,12 @@ class GridSDHEngine:
             row_ends.tolist(),
         )
         a_start, a_stop, lo, hi = next(groups)
-        for begin, b_rows in _concat_rows(starts[b_ids], counts[b_ids], _TILE):
+        for begin, b_rows in _concat_rows(starts[b_ids], counts[b_ids], TILE):
             stop = begin + b_rows.size
             while True:
                 for a_lo in range(a_start, a_stop, PANEL_ROWS):
                     a_rows = slice(a_lo, min(a_lo + PANEL_ROWS, a_stop))
-                    limit = _TILE // (a_rows.stop - a_lo)
+                    limit = TILE // (a_rows.stop - a_lo)
                     for row in range(max(lo, begin), min(hi, stop), limit):
                         end = min(row + limit, hi)
                         self._bin_tile(a_rows, b_rows[row - begin : end - begin])
@@ -801,123 +770,33 @@ class GridSDHEngine:
                     break
                 a_start, a_stop, lo, hi = next_group
 
-    def _bin_self_tile(self, rows: slice) -> None:
-        """Bin the pairs within one panel of at most ``PANEL_ROWS`` rows.
-
-        Cross-set runs bin the panel's side-0 rows against its side-1
-        rows.
-        """
-        if self._sides_sorted is not None:
-            idx = np.arange(rows.start, rows.stop)
-            side = self._sides_sorted[rows]
-            self._bin_dense(idx[~side], idx[side])
-            return
-        positions = self.pyramid.sorted_positions[rows]
-        width = self._fast_bin_width
-        nbins = self.spec.num_buckets
-        if width is not None and self.weighted:
-            limbs, computed = self._kernel_backend.bin_dense_self_weighted(
-                positions, self._w_sorted[rows], width, nbins,
-                self._box_lengths,
-            )
-            self.stats.distance_computations += computed
-            self._accum.add_limbs(limbs, computed)
-        elif width is not None:
-            hist, computed = self._kernel_backend.bin_dense_self(
-                positions, width, nbins, self._box_lengths
-            )
-            self.stats.distance_computations += computed
-            self.histogram.counts += hist
-        else:
-            # One panel, so one upper-triangle chunk in triu order.
-            for distances in iter_self_distance_chunks(
-                positions, box_lengths=self._box_lengths
-            ):
-                if self.weighted:
-                    iu, ju = np.triu_indices(len(positions), k=1)
-                    weights = self._w_sorted[rows]
-                    self._bin_distances(distances, weights[iu], weights[ju])
-                else:
-                    self._bin_distances(distances)
-
-    def _bin_tile(self, a_rows: slice, b_rows: slice | np.ndarray) -> None:
+    def _bin_tile(self, a_rows: slice, b_rows: np.ndarray) -> None:
         """Bin every distance between a slice and a set of sorted particles.
 
         Cross-set runs bin the two one-sided tiles ``A0 x B1`` and
         ``A1 x B0`` (side 1 is the second set).
         """
         if self._sides_sorted is None:
-            self._bin_dense(a_rows, b_rows)
+            self._bin_rows(a_rows, b_rows)
             return
-        if isinstance(b_rows, slice):
-            b_rows = np.arange(b_rows.start, b_rows.stop)
         side_a = self._sides_sorted[a_rows]
         side_b = self._sides_sorted[b_rows]
         a_idx = np.arange(a_rows.start, a_rows.stop)
-        self._bin_dense(a_idx[~side_a], b_rows[side_b])
-        self._bin_dense(a_idx[side_a], b_rows[~side_b])
+        self._bin_rows(a_idx[~side_a], b_rows[side_b])
+        self._bin_rows(a_idx[side_a], b_rows[~side_b])
 
-    def _bin_dense(
-        self, a_rows: slice | np.ndarray, b_rows: slice | np.ndarray
+    def _bin_rows(
+        self, a_rows: slice | np.ndarray, b_rows: np.ndarray
     ) -> None:
-        """Bin the ``len(a_rows) * len(b_rows)`` distances of one tile.
-
-        ``a_rows`` holds at most ``PANEL_ROWS`` particles.  Fast-binning
-        queries go through the backend's dense cross kernels, which run
-        the gathered kernels' op sequence (subtract, minimum image,
-        squares summed in axis order, sqrt, truncating divide), so the
-        histogram is bit-identical.  Other buckets bin the same
-        distances through ``_bin_distances``.
-        """
+        """Bin every distance between two selections of sorted particles
+        (slices, row indices or boolean masks)."""
         positions = self.pyramid.sorted_positions
-        pos_a = positions[a_rows]
-        pos_b = positions[b_rows]
-        if len(pos_a) == 0 or len(pos_b) == 0:
-            return
-        # Kernel panels of at most _TILE distances: the whole tile when
-        # it fits, else A against blocks of _TILE // len(A) rows of B.
-        chunk = max(PANEL_ROWS, _TILE // min(len(pos_a), len(pos_b)))
-        width = self._fast_bin_width
-        if width is not None and self.weighted:
-            limbs, computed = self._kernel_backend.bin_dense_cross_weighted(
-                pos_a,
-                pos_b,
-                self._w_sorted[a_rows],
-                self._w_sorted[b_rows],
-                width,
-                self.spec.num_buckets,
-                self._box_lengths,
-                chunk,
-            )
-            self.stats.distance_computations += computed
-            self._accum.add_limbs(limbs, computed)
-        elif width is not None:
-            hist, computed = self._kernel_backend.bin_dense_cross(
-                pos_a,
-                pos_b,
-                width,
-                self.spec.num_buckets,
-                self._box_lengths,
-                chunk,
-            )
-            self.stats.distance_computations += computed
-            self.histogram.counts += hist
-        else:
-            weights_b = self._w_sorted[b_rows] if self.weighted else None
-            for begin in range(0, len(pos_b), chunk):
-                block = pos_b[begin : begin + chunk]
-                (distances,) = iter_cross_distance_chunks(
-                    pos_a, block, chunk=chunk, box_lengths=self._box_lengths
-                )
-                if self.weighted:
-                    # Distances are row-major over (a, b).
-                    self._bin_distances(
-                        distances,
-                        np.repeat(self._w_sorted[a_rows], len(block)),
-                        np.tile(weights_b[begin : begin + chunk], len(pos_a)),
-                    )
-                else:
-                    self._bin_distances(distances)
+        weights = self._w_sorted
+        self.binner.cross_pairs(
+            positions[a_rows], positions[b_rows],
+            None if weights is None else weights[a_rows],
+            None if weights is None else weights[b_rows],
+        )
 
     # ------------------------------------------------------------------
     def _allocate(

@@ -16,20 +16,21 @@ one only in the distances involving moved particles:
 
 which costs ``O(k * N)`` distance computations instead of ``O(N^2)`` —
 a win whenever ``k << N``, the regime of neighbouring frames.  All four
-correction terms are chunked numpy; the result is *exact* (tests assert
-integer equality with a from-scratch recomputation).
+correction terms are brute-force histograms (one dense binning pass
+each); the result is *exact* (tests assert integer equality with a
+from-scratch recomputation).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..core.brute_force import brute_force_cross_sdh, brute_force_sdh
 from ..core.buckets import BucketSpec, OverflowPolicy
 from ..core.histogram import DistanceHistogram
 from ..data.particles import ParticleSet
 from ..data.trajectory import Trajectory
 from ..errors import QueryError
-from ..geometry import iter_cross_distance_chunks, iter_self_distance_chunks
 
 __all__ = ["IncrementalSDH", "update_histogram", "sdh_over_trajectory"]
 
@@ -75,14 +76,10 @@ def _apply(
     policy: OverflowPolicy,
 ) -> None:
     """Add/subtract cross(moved, static) + intra(moved) contributions."""
-    for distances in iter_cross_distance_chunks(moved, static):
-        histogram.add_counts(
-            sign * spec.bin_counts_query(distances, policy=policy)
-        )
-    for distances in iter_self_distance_chunks(moved):
-        histogram.add_counts(
-            sign * spec.bin_counts_query(distances, policy=policy)
-        )
+    cross = brute_force_cross_sdh(moved, static, spec, policy=policy)
+    intra = brute_force_sdh(moved, spec=spec, policy=policy)
+    histogram.add_counts(sign * cross.counts)
+    histogram.add_counts(sign * intra.counts)
 
 
 class IncrementalSDH:
@@ -107,8 +104,6 @@ class IncrementalSDH:
         self.policy = policy
         self._positions = initial.positions.copy()
         if base_histogram is None:
-            from ..core.brute_force import brute_force_sdh
-
             base_histogram = brute_force_sdh(
                 initial, spec=spec, policy=policy
             )

@@ -4,7 +4,8 @@ Every exact engine bottoms out in leaf-level pairwise distance
 resolution — the irreducible cost term of the paper's DM-SDH analysis
 once the density-map frontier stops resolving cells.  This package
 isolates that loop behind a small backend API so it can be swapped for
-a compiled implementation:
+a compiled implementation; :class:`repro.core.dense.DenseBinner` is its
+one caller on every engine path:
 
 * :mod:`repro.kernels.numpy_backend` — the vectorized pure-numpy
   fallback, always available.  Its dense kernels build each panel axis
@@ -25,11 +26,12 @@ box_lengths=None, chunk=...)``
     path calls it; tests and traced benchmark runs keep it as the
     gathered reference).
 ``bin_dense_self(positions, width, nbins, box_lengths=None, chunk=...)``
-    All ``n(n-1)/2`` intra-set distances (brute force, tree leaves).
+    All ``n(n-1)/2`` intra-set distances (a whole set, or one panel of
+    a strided sweep).
 ``bin_dense_cross(pos_a, pos_b, width, nbins, box_lengths=None,
 chunk=...)``
-    All cross-set distances (type-restricted baselines, tree leaf
-    pairs, the grid engine's leaf tiles).
+    All cross-set distances (cross-set queries, leaf-cell pairs, the
+    rows after a panel).
 
 Each function also has a ``*_weighted`` variant (taking the per-point
 weights after the coordinates) that returns ``(limb_array,
@@ -46,8 +48,8 @@ uniform-bucket query starting at zero whose buckets cover every
 realizable distance, where a clamped truncating division bins exactly
 like :meth:`~repro.core.buckets.UniformBuckets.bucket_of` and the
 overflow policy can never trigger.  :func:`fast_uniform_width` decides
-eligibility; ineligible queries (custom buckets, ``low > 0``) stay on
-the engines' inline ``bin_counts_query`` paths regardless of the
+eligibility; ineligible queries (custom buckets, ``low > 0``) take the
+dense binner's ``bin_counts_query`` policy path regardless of the
 requested tier.
 
 Determinism contract: histogram counts are integral and each distance

@@ -311,8 +311,11 @@ def _run_task(task: tuple) -> tuple[np.ndarray, SDHStats, float, int]:
     """
     engine = _WORKER_ENGINE
     assert engine is not None, "worker used before initialization"
-    engine.histogram = DistanceHistogram(engine.spec)
-    engine.stats = SDHStats()
+    # Fresh sinks per task, for the engine and the binner it bins into:
+    # a binner left on the last task's sinks would drop this task's
+    # counts.
+    engine.histogram = engine.binner.histogram = DistanceHistogram(engine.spec)
+    engine.stats = engine.binner.stats = SDHStats()
     started = time.perf_counter()
     if task[0] == "sweep":
         engine.sweep_panels(task[1], task[2])

@@ -29,11 +29,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.buckets import BucketSpec, OverflowPolicy, UniformBuckets
+from ..core.dense import DenseBinner
 from ..core.histogram import DistanceHistogram
 from ..core.instrumentation import SDHStats
 from ..data.particles import ParticleSet
 from ..errors import QueryError, TreeError
-from ..geometry import cross_distances, pairwise_distances
 
 __all__ = ["KDNode", "KDPartition", "kd_sdh"]
 
@@ -214,6 +214,10 @@ class _DualTreeRun:
         self.stats = stats
         self.histogram = DistanceHistogram(spec)
         self._positions = partition.particles.positions
+        self._binner = DenseBinner(
+            spec, policy, "auto", partition.particles.max_possible_distance,
+            self.histogram, stats,
+        )
 
     def traverse(self) -> None:
         self.stats.start_level = 0
@@ -234,11 +238,7 @@ class _DualTreeRun:
             return
         if node.is_leaf:
             assert node.rows is not None
-            distances = pairwise_distances(self._positions[node.rows])
-            self.stats.distance_computations += distances.size
-            self.histogram.add_counts(
-                self.spec.bin_counts_query(distances, policy=self.policy)
-            )
+            self._binner.self_pairs(self._positions[node.rows])
             return
         assert node.left is not None and node.right is not None
         self._self_pair(node.left)
@@ -268,12 +268,8 @@ class _DualTreeRun:
             return
         if a.is_leaf and b.is_leaf:
             assert a.rows is not None and b.rows is not None
-            distances = cross_distances(
+            self._binner.cross_pairs(
                 self._positions[a.rows], self._positions[b.rows]
-            )
-            self.stats.distance_computations += distances.size
-            self.histogram.add_counts(
-                self.spec.bin_counts_query(distances, policy=self.policy)
             )
             return
         # Refine the bulkier node (classic dual-tree split rule).

@@ -25,6 +25,13 @@ so any contiguous block of ``len(FAMILIES)`` seeds covers every family
 — which is what lets CI assert from the ``--json`` report that the
 weighted and cross families actually ran.
 
+On top of any family, a share of the requests is drawn on the custom
+bucket axis (:func:`_draw_custom`): non-uniform edges (some on realized
+pair distances or dyadic lattice points), a tiny or huge first bucket,
+``low > 0``, a last edge short of the reach, and every overflow policy
+— the policy paths of the dense binner and the weighted accumulator,
+which the standard ``[0, reach]`` buckets never reach.
+
 Coordinates are snapped to the dyadic grid of
 :mod:`repro.verify.invariants` so the rigid-motion invariants are
 float-exact.  When a case fails, :func:`shrink_case` greedily removes
@@ -40,10 +47,11 @@ from typing import Callable
 
 import numpy as np
 
+from ..core.buckets import CustomBuckets, OverflowPolicy
 from ..core.request import SDHRequest
 from ..data.generators import uniform, zipf_clustered
 from ..data.particles import ParticleSet
-from ..geometry import AABB, RectRegion
+from ..geometry import AABB, RectRegion, pairwise_distances
 from ..observability import get_registry, trace_span
 from .differential import (
     Discrepancy,
@@ -75,6 +83,9 @@ MAX_FUZZ_PARTICLES = 120
 #: Shrinking evaluates the failure predicate at most this many times.
 MAX_SHRINK_EVALS = 160
 
+#: Share of fuzz requests drawn on the custom bucket axis.
+CUSTOM_SHARE = 0.3
+
 
 @dataclass(frozen=True)
 class FuzzCase:
@@ -100,16 +111,11 @@ class FuzzCase:
     def plain(self) -> bool:
         """Whether the metamorphic invariants apply to this case.
 
-        They count every pair (conservation, the zero-distance diagonal
-        of ``cross(A, A)``), so a query whose first edge is above zero
-        is checked differentially only.
+        They are statements about exact full-dataset queries; each one
+        skips itself where its premise fails (see
+        :mod:`repro.verify.invariants`).
         """
-        spec = self.request.spec
-        return not (
-            self.request.restricted
-            or self.request.approximate
-            or (spec is not None and spec.low > 0)
-        )
+        return not (self.request.restricted or self.request.approximate)
 
     def with_particles(self, particles: ParticleSet) -> "FuzzCase":
         return FuzzCase(
@@ -410,13 +416,57 @@ def _draw_request(
     return request.normalize(), particles
 
 
+def _draw_custom(rng: np.random.Generator, case: FuzzCase) -> SDHRequest:
+    """The case's request moved onto the custom bucket axis.
+
+    Edges run from ``low`` (zero or above) to ``high`` (at or past the
+    reach, or short of it); the interior edges mix free draws, realized
+    pair distances and dyadic lattice points, so distances sit exactly
+    on edges; the first bucket is tiny, huge or free; the overflow
+    policy is any of the three.
+    """
+    particles = case.particles
+    reach = (
+        particles.max_periodic_distance
+        if case.request.periodic
+        else particles.max_possible_distance
+    )
+    low = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.01, 0.3)) * reach
+    if rng.random() < 0.5:
+        high = reach * float(rng.choice([1.0, 1.25]))
+    else:
+        high = low + (reach - low) * float(rng.uniform(0.3, 0.9))
+    step = 2.0 ** -int(rng.integers(2, 6))
+    lattice = step * np.arange(np.floor(low / step) + 1, np.ceil(high / step))
+    realized = pairwise_distances(particles.positions)
+    pool = np.concatenate([
+        rng.uniform(low, high, 4),
+        rng.choice(lattice, min(3, lattice.size), replace=False),
+        rng.choice(realized, min(3, realized.size), replace=False),
+    ])
+    pool = np.unique(pool[(pool > low) & (pool < high)])
+    inner = rng.choice(pool, min(int(rng.integers(0, 6)), pool.size),
+                       replace=False)
+    first = int(rng.integers(3))
+    if first == 0:  # tiny first bucket
+        inner = np.append(inner, low + 1e-6 * (high - low))
+    elif first == 1:  # huge first bucket
+        inner = inner[inner > low + 0.8 * (high - low)]
+    edges = np.unique(np.concatenate([[low, high], inner]))
+    return case.request.replace(
+        spec=CustomBuckets(edges), bucket_width=None, num_buckets=None,
+        policy=list(OverflowPolicy)[int(rng.integers(3))],
+    )
+
+
 def generate_case(seed: int) -> FuzzCase:
     """The deterministic fuzz case for ``seed``.
 
     The family is the seed taken round-robin (every block of
     ``len(FAMILIES)`` consecutive seeds covers all families); all other
     draws come from ``default_rng(seed)``, so the case remains a pure
-    function of its seed.
+    function of its seed.  The custom bucket axis is drawn last, so it
+    leaves the dataset and the rest of the request as they were.
     """
     rng = np.random.default_rng(seed)
     name, family = FAMILIES[seed % len(FAMILIES)]
@@ -438,10 +488,14 @@ def generate_case(seed: int) -> FuzzCase:
         request = SDHRequest(
             periodic=bool(rng.random() < 0.2), **buckets
         ).normalize()
-        return FuzzCase(name, seed, particles, request, particles_b)
-    particles = snap_dyadic(made)
-    request, particles = _draw_request(rng, particles)
-    return FuzzCase(name, seed, particles, request)
+        case = FuzzCase(name, seed, particles, request, particles_b)
+    else:
+        particles = snap_dyadic(made)
+        request, particles = _draw_request(rng, particles)
+        case = FuzzCase(name, seed, particles, request)
+    if rng.random() < CUSTOM_SHARE:
+        case = case.with_request(_draw_custom(rng, case))
+    return case
 
 
 # ----------------------------------------------------------------------
@@ -646,6 +700,7 @@ class VerifyReport:
     families_run: list[str] = field(default_factory=list)
     weighted_cases: int = 0
     cross_cases: int = 0
+    custom_cases: int = 0
     discrepancies: list[Discrepancy] = field(default_factory=list)
     corpus_written: list[str] = field(default_factory=list)
     duration_seconds: float = 0.0
@@ -665,6 +720,8 @@ class VerifyReport:
             self.weighted_cases += 1
         if case.cross:
             self.cross_cases += 1
+        if isinstance(case.request.spec, CustomBuckets):
+            self.custom_cases += 1
 
     def to_dict(self) -> dict:
         return {
@@ -679,6 +736,7 @@ class VerifyReport:
             "families_run": list(self.families_run),
             "weighted_cases": self.weighted_cases,
             "cross_cases": self.cross_cases,
+            "custom_cases": self.custom_cases,
             "discrepancies": [d.to_dict() for d in self.discrepancies],
             "corpus_written": self.corpus_written,
             "duration_seconds": round(self.duration_seconds, 3),

@@ -4,17 +4,18 @@ Each check derives a second query whose answer is *provably determined*
 by the first — no oracle histogram needed — and demands exact
 agreement:
 
-* pair conservation — bucket totals equal ``N(N-1)/2`` when the spec
-  covers the box diagonal;
+* pair conservation — bucket totals equal ``N(N-1)/2`` when the
+  buckets start at zero and no distance lies past the last edge (or
+  the CLAMP policy keeps it);
 * rigid motions — translating the dataset (box included), reflecting
   it about the box center, or permuting coordinate axes leaves every
   pairwise distance, hence every count, unchanged;
 * additivity — splitting the dataset into disjoint halves A and B,
   ``h(A ∪ B) = h(A) + h(B) + h(A × B)`` with the cross term from the
   brute-force kernel;
-* refinement — halving the bucket width ``p`` splits each bucket into
-  exactly two, so adjacent fine-bucket pairs must sum back to the
-  coarse counts;
+* refinement — halving the bucket width ``p`` (or adding the midpoint
+  of every custom bucket) splits each bucket into exactly two, so
+  adjacent fine-bucket pairs must sum back to the coarse counts;
 * weight-scaling bilinearity — scaling every weight by an exact power
   of two ``2^k`` scales every bucket by exactly ``2^(2k)`` (pair mass
   is bilinear in the weights, and power-of-two scaling commutes with
@@ -31,6 +32,14 @@ agreement:
   rounding envelope for weighted mass, where each term is rounded
   independently).
 
+Premises: a RAISE query with a distance past its last edge answers
+with an error, which the differential run compares across engines, so
+no invariant runs on it; every other check states its own premise and
+skips itself where it fails (conservation needs ``low == 0`` and every
+pair binned, zero-weight padding under RAISE needs the ghosts' distances
+inside the buckets, ``cross(A, A)``'s diagonal lands in bucket 0 only
+when ``low == 0``).
+
 Exactness note: the rigid-motion checks compare *bit-identical* counts,
 which is sound only when the motion itself is exact in float64.  The
 helpers therefore snap datasets and translation vectors to a dyadic
@@ -45,10 +54,11 @@ from typing import Callable
 import numpy as np
 
 from ..core.brute_force import brute_force_cross_sdh
-from ..core.buckets import UniformBuckets
+from ..core.buckets import CustomBuckets, OverflowPolicy, UniformBuckets
 from ..core.query import compute_sdh
 from ..core.request import SDHRequest
 from ..data.particles import ParticleSet
+from ..errors import DistanceOverflowError
 from ..geometry import AABB
 from ..kernels import exact
 from .differential import Discrepancy
@@ -137,6 +147,23 @@ def _counts(particles: ParticleSet, request: SDHRequest) -> np.ndarray:
     return compute_sdh(particles, request).counts
 
 
+def _overflows(
+    particles: ParticleSet,
+    request: SDHRequest,
+    b: ParticleSet | None = None,
+) -> bool:
+    """Whether some distance of the query lies past its last edge."""
+    try:
+        compute_sdh(
+            particles,
+            request.replace(engine="brute", policy=OverflowPolicy.RAISE),
+            b=b,
+        )
+    except DistanceOverflowError:
+        return True
+    return False
+
+
 def check_pair_conservation(
     particles: ParticleSet,
     request: SDHRequest,
@@ -147,8 +174,15 @@ def check_pair_conservation(
     For weighted sets the per-bucket masses are each correctly rounded,
     so their float sum may drift from the correctly-rounded total by a
     few ulps — the comparison uses the weighted rounding envelope.
+    Holds only when every pair is binned: buckets from zero, and no
+    distance past the last edge unless CLAMP keeps it.
     """
     request = _pinned(request, particles)
+    if request.spec.low > 0 or (
+        request.policy is not OverflowPolicy.CLAMP
+        and _overflows(particles, request)
+    ):
+        return []
     total = float(_counts(particles, request).sum())
     if particles.weighted:
         expected = exact.exact_weighted_total(particles.weights)
@@ -297,16 +331,22 @@ def check_refinement(
     request: SDHRequest,
     rng: np.random.Generator,
 ) -> list[str]:
-    """Halving ``p`` refines buckets: fine pairs must sum to coarse.
+    """Halving every bucket refines it: fine pairs must sum to coarse.
 
-    Only defined for uniform specs; custom-edge requests are skipped.
+    Uniform buckets halve ``p``; custom buckets gain the midpoint of
+    every bucket as an edge.  The first and last edges stay, so the
+    below-range drop and the overflow policy see the same distances.
     """
     request = _pinned(request, particles)
     spec = request.spec
-    if not isinstance(spec, UniformBuckets):
-        return []
     coarse = _counts(particles, request)
-    fine_spec = UniformBuckets(spec.width / 2.0, spec.num_buckets * 2)
+    if isinstance(spec, UniformBuckets):
+        fine_spec = UniformBuckets(spec.width / 2.0, spec.num_buckets * 2)
+    else:
+        edges = spec.edges
+        fine_spec = CustomBuckets(
+            np.sort(np.concatenate([edges, (edges[:-1] + edges[1:]) / 2]))
+        )
     fine = _counts(particles, request.replace(spec=fine_spec))
     coarsened = fine[0::2] + fine[1::2]
     if particles.weighted:
@@ -406,6 +446,10 @@ def check_zero_weight_deletion(
         particles.type_names,
         weights=np.concatenate([weights, np.zeros(extra)]),
     )
+    if request.policy is OverflowPolicy.RAISE and _overflows(
+        augmented, request
+    ):
+        return []  # a ghost pair past the last edge raises
     padded = _counts(augmented, request)
     if not np.array_equal(baseline, padded):
         return [
@@ -432,20 +476,25 @@ def check_cross_self_identity(
     self numerator, and doubling commutes with correct rounding — while
     bucket 0 additionally carries the ``Σ wᵢ²`` (or ``N``) diagonal
     mass, exactly for counts and within the rounding envelope for
-    weighted mass (the diagonal term is rounded independently).
+    weighted mass (the diagonal term is rounded independently).  When
+    the buckets start above zero the diagonal is not counted, and
+    bucket 0 matches ``2 × self`` bit-for-bit too.
     """
     request = _pinned(request, particles)
     self_counts = _counts(particles, request)
     cross = compute_sdh(particles, request, b=particles).counts
     problems: list[str] = []
-    if not np.array_equal(cross[1:], 2.0 * self_counts[1:]):
+    first = 0 if request.spec.low > 0 else 1
+    if not np.array_equal(cross[first:], 2.0 * self_counts[first:]):
         problems.append(
             _diff_message(
                 "cross(A,A) vs 2*self(A) off-diagonal buckets",
-                2.0 * self_counts[1:],
-                cross[1:],
+                2.0 * self_counts[first:],
+                cross[first:],
             )
         )
+    if first == 0:
+        return problems
     if particles.weighted:
         diagonal = float(
             np.sum(particles.weights * particles.weights)
@@ -576,6 +625,10 @@ def run_invariants(
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(0 if rng is None else rng)
     particles = snap_dyadic(particles)
+    if request.policy is OverflowPolicy.RAISE and _overflows(
+        particles, request
+    ):
+        return []
     checks = invariants if invariants is not None else ALL_INVARIANTS
     violations: list[Discrepancy] = []
     for name, check in checks.items():
@@ -616,6 +669,10 @@ def run_cross_invariants(
         )
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(0 if rng is None else rng)
+    if request.policy is OverflowPolicy.RAISE and _overflows(
+        a, request, b=b
+    ):
+        return []
     checks = invariants if invariants is not None else CROSS_INVARIANTS
     violations: list[Discrepancy] = []
     for name, check in checks.items():

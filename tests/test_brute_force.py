@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    CustomBuckets,
     SDHStats,
     UniformBuckets,
     brute_force_cross_sdh,
@@ -11,6 +12,8 @@ from repro.core import (
 )
 from repro.data import uniform
 from repro.errors import DistanceOverflowError
+from repro.geometry import pairwise_distances
+from repro.geometry.distance import PANEL_ROWS
 
 
 class TestSelfSDH:
@@ -54,12 +57,19 @@ class TestSelfSDH:
         brute_force_sdh(data, bucket_width=0.3, stats=stats)
         assert stats.distance_computations == 60 * 59 // 2
 
-    def test_chunking_invariance(self):
-        data = uniform(100, dim=3, rng=2)
-        spec = UniformBuckets.with_count(data.max_possible_distance, 8)
-        h1 = brute_force_sdh(data, spec=spec, chunk=7)
-        h2 = brute_force_sdh(data, spec=spec, chunk=1000)
-        np.testing.assert_array_equal(h1.counts, h2.counts)
+    @pytest.mark.parametrize("custom", [False, True])
+    def test_panel_blocking_invariance(self, custom):
+        # More than two panels: the blocked sweep (fast kernels, or the
+        # policy path for custom buckets) bins exactly like one
+        # unblocked distance array.
+        data = uniform(2 * PANEL_ROWS + 3, dim=3, rng=2)
+        diag = data.max_possible_distance
+        spec = UniformBuckets.with_count(diag, 8)
+        if custom:
+            spec = CustomBuckets([0.0, 0.1 * diag, 0.5 * diag, 1.01 * diag])
+        got = brute_force_sdh(data, spec=spec).counts
+        want = spec.bin_counts(pairwise_distances(data.positions))
+        np.testing.assert_array_equal(got, want)
 
     def test_raw_array_input(self, rng):
         pts = rng.uniform(size=(50, 2))

@@ -285,55 +285,62 @@ class _GatheredLeaves(GridSDHEngine):
 
     def _bin_gathered(self, g1, g2):
         positions = self.pyramid.sorted_positions
-        width = self._fast_bin_width
+        binner = self.binner
+        width = binner.width
         nbins = self.spec.num_buckets
         if width is not None and self.weighted:
             limbs, computed = numpy_backend.bin_gathered_pairs_weighted(
                 positions, self._w_sorted, g1, g2, width, nbins,
-                self._box_lengths,
+                binner.box_lengths,
             )
             self.stats.distance_computations += computed
             self._accum.add_limbs(limbs, computed)
         elif width is not None:
             hist, computed = numpy_backend.bin_gathered_pairs(
-                positions, g1, g2, width, nbins, self._box_lengths
+                positions, g1, g2, width, nbins, binner.box_lengths
             )
             self.stats.distance_computations += computed
             self.histogram.counts += hist
         else:
             delta = positions[g1] - positions[g2]
             if self.periodic:
-                delta = minimum_image(delta, self._box_lengths)
+                delta = minimum_image(delta, binner.box_lengths)
             # Squares summed in axis order, as the kernel contract says.
             total = delta[:, 0] * delta[:, 0]
             for axis in range(1, delta.shape[1]):
                 total += delta[:, axis] * delta[:, axis]
             distances = np.sqrt(total)
             if self.weighted:
-                self._bin_distances(
-                    distances, self._w_sorted[g1], self._w_sorted[g2]
-                )
+                binner._bin(distances, self._w_sorted[g1], self._w_sorted[g2])
             else:
-                self._bin_distances(distances)
+                binner._bin(distances)
 
 
 def _recording_backend(calls):
-    """The numpy backend, recording the operand sizes of dense calls."""
+    """The numpy backend, recording the operand sizes of dense calls.
+
+    A cross call records ``(name, len(a), len(b))``, a self call over
+    ``n`` points ``(name, n, n)``.
+    """
 
     def recorded(name):
         kernel = getattr(numpy_backend, name)
 
-        def call(pos_a, pos_b, *args, **kwargs):
-            calls.append((name, len(pos_a), len(pos_b)))
-            return kernel(pos_a, pos_b, *args, **kwargs)
+        def call(pos_a, *args, **kwargs):
+            if "cross" in name:
+                calls.append((name, len(pos_a), len(args[0])))
+            else:
+                calls.append((name, len(pos_a), len(pos_a)))
+            return kernel(pos_a, *args, **kwargs)
 
         return call
 
     backend = types.SimpleNamespace(**{
         name: getattr(numpy_backend, name) for name in numpy_backend.__all__
     })
-    for name in ("bin_dense_cross", "bin_dense_cross_weighted"):
-        setattr(backend, name, recorded(name))
+    for name in numpy_backend.__all__:
+        if name.startswith("bin_dense"):
+            setattr(backend, name, recorded(name))
     return backend
 
 
@@ -463,7 +470,7 @@ class TestDenseLeafTiles:
         calls = []
         kwargs = {"cross_split": 1000} if cross else {}
         engine = GridSDHEngine(pyramid, spec=spec, **kwargs)
-        engine._kernel_backend = _recording_backend(calls)
+        engine.binner.backend = _recording_backend(calls)
         got = engine.run().counts
         want = _GatheredLeaves(pyramid, spec=spec, **kwargs).run().counts
         np.testing.assert_array_equal(got, want)
@@ -476,7 +483,7 @@ class TestDenseLeafTiles:
         # A small tile budget cuts the batch's B rows into many blocks,
         # so A cells' partner spans straddle block edges.
         grid_module = importlib.import_module("repro.core.dm_sdh_grid")
-        monkeypatch.setattr(grid_module, "_TILE", 600)
+        monkeypatch.setattr(grid_module, "TILE", 600)
         pos, _ = _clustered(1500, 2, rng=125)
         data = ParticleSet(pos)
         pyramid = GridPyramid(data)
@@ -484,7 +491,7 @@ class TestDenseLeafTiles:
         calls = []
         kwargs = {"cross_split": 700} if cross else {}
         engine = GridSDHEngine(pyramid, spec=spec, **kwargs)
-        engine._kernel_backend = _recording_backend(calls)
+        engine.binner.backend = _recording_backend(calls)
         got = engine.run().counts
         want = _GatheredLeaves(pyramid, spec=spec, **kwargs).run().counts
         np.testing.assert_array_equal(got, want)
@@ -533,7 +540,7 @@ class TestDenseLeafTiles:
             stats = SDHStats()
             engine = GridSDHEngine(GridPyramid(data), spec=spec, stats=stats)
             dense = []
-            engine._kernel_backend = backend = _recording_backend(dense)
+            engine.binner.backend = backend = _recording_backend(dense)
             backend.bin_gathered_pairs = gathered
             backend.bin_gathered_pairs_weighted = gathered
             engine.run()

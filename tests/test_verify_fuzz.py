@@ -52,6 +52,31 @@ class TestGeneration:
         assert cross.particles_b is not None
         assert cross.particles.box == cross.particles_b.box
 
+    def test_custom_axis_reachable(self):
+        from repro.core.buckets import CustomBuckets, OverflowPolicy
+        from repro.geometry import pairwise_distances
+
+        cases = [generate_case(seed) for seed in range(90)]
+        custom = [c for c in cases if isinstance(c.request.spec, CustomBuckets)]
+        assert {c.request.policy for c in custom} == set(OverflowPolicy)
+        assert any(c.request.spec.low > 0 for c in custom)
+        assert any(c.particles.weighted for c in custom)
+        assert any(c.cross for c in custom)
+
+        def reach(case):
+            if case.request.periodic:
+                return case.particles.max_periodic_distance
+            return case.particles.max_possible_distance
+
+        assert any(c.request.spec.high < reach(c) for c in custom)
+        # Some edge sits exactly on a realized pair distance.
+        assert any(
+            np.isin(
+                c.request.spec.edges, pairwise_distances(c.particles.positions)
+            ).any()
+            for c in custom
+        )
+
     def test_case_roundtrips_through_json(self):
         for seed in (2, 9, 31):
             case = generate_case(seed)
@@ -226,6 +251,7 @@ class TestRunVerification:
         assert report.families_run == sorted(name for name, _ in FAMILIES)
         assert report.weighted_cases >= 1
         assert report.cross_cases >= 1
+        assert report.custom_cases >= 1
         body = report.to_dict()
         assert "weights" in body["families_run"]
         assert "cross" in body["families_run"]

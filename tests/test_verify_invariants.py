@@ -91,15 +91,97 @@ class TestInvariantScope:
                 SDHRequest(num_buckets=4, levels=1),
             )
 
-    def test_refinement_skips_custom_edges(self, small_uniform_2d, rng):
+    def test_refinement_splits_custom_edges(
+        self, small_uniform_2d, rng, monkeypatch
+    ):
+        import repro.verify.invariants as invariants
         from repro.core.buckets import CustomBuckets
-        from repro.verify.invariants import check_refinement
 
-        edges = CustomBuckets([0.0, 0.3, 1.0, 2.0])
-        request = SDHRequest(spec=edges).normalize()
-        assert check_refinement(
+        edges = CustomBuckets([0.1, 0.3, 1.0, 2.0])
+        request = SDHRequest(spec=edges, policy="drop").normalize()
+        specs = []
+        real = invariants.compute_sdh
+
+        def spy(particles, request, **kwargs):
+            specs.append(request.spec)
+            return real(particles, request, **kwargs)
+
+        monkeypatch.setattr(invariants, "compute_sdh", spy)
+        assert invariants.check_refinement(
             snap_dyadic(small_uniform_2d), request, rng
         ) == []
+        np.testing.assert_array_equal(
+            specs[-1].edges, [0.1, 0.2, 0.3, 0.65, 1.0, 1.5, 2.0]
+        )
+
+
+class TestPremises:
+    """Custom buckets, ``low > 0`` and every overflow policy."""
+
+    @staticmethod
+    def _spec(particles, low, top):
+        from repro.core.buckets import CustomBuckets
+
+        diag = particles.max_possible_distance
+        return CustomBuckets(
+            [low * diag, 0.2 * diag, 0.23 * diag, top * diag]
+        )
+
+    @pytest.mark.parametrize("policy", ["clamp", "drop", "raise"])
+    @pytest.mark.parametrize("low", [0.0, 0.05])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_all_hold_on_custom_buckets(self, policy, low, weighted):
+        particles = snap_dyadic(uniform(90, dim=2, rng=3))
+        if weighted:
+            gen = np.random.default_rng(4)
+            particles = particles.with_weights(gen.normal(size=90))
+        # RAISE gets a last edge past the diagonal, so it answers.
+        top = 1.01 if policy == "raise" else 0.6
+        request = SDHRequest(
+            spec=self._spec(particles, low, top), policy=policy
+        )
+        assert run_invariants(particles, request, rng=5) == []
+
+    def test_raising_request_runs_no_invariant(self):
+        particles = snap_dyadic(uniform(60, dim=3, rng=6))
+        request = SDHRequest(
+            spec=self._spec(particles, 0.05, 0.6), policy="raise"
+        )
+        called = []
+
+        def check(particles, request, rng):
+            called.append(request)
+            return []
+
+        assert run_invariants(
+            particles, request, invariants={"spy": check}
+        ) == []
+        assert called == []
+
+    def test_conservation_needs_every_pair_binned(self, rng):
+        from repro.verify.invariants import check_pair_conservation
+
+        particles = snap_dyadic(uniform(70, dim=2, rng=7))
+        for low, policy in ((0.05, "clamp"), (0.0, "drop")):
+            request = SDHRequest(
+                spec=self._spec(particles, low, 0.6), policy=policy
+            ).normalize()
+            # Not all pairs are counted, so the check stands aside...
+            assert check_pair_conservation(particles, request, rng) == []
+        # ...while CLAMP from zero still conserves every pair.
+        request = SDHRequest(
+            spec=self._spec(particles, 0.0, 0.6), policy="clamp"
+        ).normalize()
+        assert check_pair_conservation(particles, request, rng) == []
+
+    def test_cross_identity_without_the_diagonal(self, rng):
+        from repro.verify.invariants import check_cross_self_identity
+
+        particles = snap_dyadic(uniform(50, dim=2, rng=8))
+        request = SDHRequest(
+            spec=self._spec(particles, 0.05, 0.6), policy="drop"
+        ).normalize()
+        assert check_cross_self_identity(particles, request, rng) == []
 
 
 class TestViolationsCaught:
